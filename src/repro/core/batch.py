@@ -62,7 +62,7 @@ from repro.core.fast_closed_loop import (
     _run_centralized_closed_loop,
     _tree_link_weights,
 )
-from repro.core.queueing import CompletionRecord, RunResult
+from repro.core.queueing import RunResult
 from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
 from repro.errors import NetworkError, ProtocolError
 from repro.graphs.graph import Graph
@@ -420,7 +420,6 @@ class BatchArrowEngine:
         changes nothing observable in the result, only the speed.
         """
         schedule.validate_nodes(self._n)
-        result = RunResult(schedule)
 
         n = self._n
         root = self._root
@@ -454,11 +453,7 @@ class BatchArrowEngine:
             )
         wall = _wall.perf_counter() - t0
 
-        completions = result.completions
-        for row in done:
-            completions[row[0]] = CompletionRecord(*row)
-        if len(completions) != len(done):
-            raise ProtocolError("a request completed twice")
+        result = RunResult.from_rows(schedule, done)
         result.makespan = now if fired else 0.0
         result.wall_seconds = wall
         result.network_stats = {
@@ -467,9 +462,9 @@ class BatchArrowEngine:
             "routed_messages": 0,
             "hops_total": messages,
         }
-        if len(completions) != len(schedule):
+        if len(done) != len(schedule):
             raise ProtocolError(
-                f"arrow run completed {len(completions)} of "
+                f"arrow run completed {len(done)} of "
                 f"{len(schedule)} requests"
             )
         return result

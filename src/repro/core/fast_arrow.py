@@ -32,7 +32,7 @@ from __future__ import annotations
 import time as _wall
 from heapq import heappop, heappush
 
-from repro.core.queueing import CompletionRecord, RunResult
+from repro.core.queueing import RunResult
 from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
 from repro.errors import NetworkError, ProtocolError, SimulationError
 from repro.graphs.graph import Graph
@@ -153,7 +153,6 @@ class FastArrowEngine:
         ``None`` (the default) keeps the hot loops emission-free.
         """
         schedule.validate_nodes(self._n)
-        result = RunResult(schedule)
 
         n = self._n
         root = self._root
@@ -177,8 +176,8 @@ class FastArrowEngine:
         init_times = schedule.times
         init_nodes = schedule.nodes
 
-        # Raw completion rows (rid, pred, node, time, hops); the record
-        # dataclasses are built once, after the hot loop.
+        # Raw completion rows (rid, pred, node, time, hops), handed to the
+        # result's columns once, after the hot loop.
         done: list[tuple[int, int, int, float, int]] = []
 
         t0 = _wall.perf_counter()
@@ -194,11 +193,7 @@ class FastArrowEngine:
             )
         wall = _wall.perf_counter() - t0
 
-        completions = result.completions
-        for row in done:
-            completions[row[0]] = CompletionRecord(*row)
-        if len(completions) != len(done):
-            raise ProtocolError("a request completed twice")
+        result = RunResult.from_rows(schedule, done)
         result.makespan = now if fired else 0.0
         result.wall_seconds = wall
         result.network_stats = {
@@ -207,9 +202,9 @@ class FastArrowEngine:
             "routed_messages": 0,
             "hops_total": messages,
         }
-        if len(completions) != len(schedule):
+        if len(done) != len(schedule):
             raise ProtocolError(
-                f"arrow run completed {len(completions)} of "
+                f"arrow run completed {len(done)} of "
                 f"{len(schedule)} requests"
             )
         return result

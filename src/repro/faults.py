@@ -484,7 +484,6 @@ def _run_flat_faulted(
     fs = _FaultState(tree, plan, seed, block_loss=block_loss, emit=emit)
     down = fs.down
 
-    result = RunResult(schedule)
     done: list[tuple[int, int, int, float, int]] = []
     append = done.append
 
@@ -604,11 +603,7 @@ def _run_flat_faulted(
         last_rid[sink] = er
     wall = _wall.perf_counter() - t0_wall
 
-    completions = result.completions
-    for row in done:
-        completions[row[0]] = CompletionRecord(*row)
-    if len(completions) != len(done):
-        raise ProtocolError("a request completed twice")
+    result = RunResult.from_rows(schedule, done)
     result.makespan = now if fired else 0.0
     result.wall_seconds = wall
     result.network_stats = {
@@ -617,7 +612,7 @@ def _run_flat_faulted(
         "routed_messages": 0,
         "hops_total": messages,
     }
-    report = fs.finish(link, len(completions), m)
+    report = fs.finish(link, len(done), m)
     return result, report
 
 

@@ -70,9 +70,19 @@ def star_graph(n: int, weight: float = 1.0) -> Graph:
 def complete_graph(n: int, weight: float = 1.0) -> Graph:
     """Complete graph ``K_n`` with uniform edge weight (SP2 model, §5)."""
     g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v, weight)
+    if n > 1:
+        if weight <= 0:
+            raise GraphError(f"edge weight must be positive, got {weight}")
+        # Bulk build of what the add_edge loop over u < v produces: every
+        # node's neighbours in ascending order, all at float(weight).  A
+        # dict copy keeps the template's order, and deleting u keeps the
+        # order of the rest.
+        row = dict.fromkeys(range(n), float(weight))
+        adj = g._adj
+        for u in range(n):
+            adj[u] = row.copy()
+            del adj[u][u]
+        g._num_edges = n * (n - 1) // 2
     return g
 
 

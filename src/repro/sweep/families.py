@@ -91,12 +91,13 @@ def _build_open_loop(cell: SweepCell, derived: int) -> Mapping[str, Any]:
 
 def _run_result_columns(graph, requests: int, result) -> dict[str, Any]:
     """Metric columns shared by every open-loop :class:`RunResult` row."""
-    latencies = [result.latency(rid) for rid in result.completions]
+    latencies = result.latencies()
     return {
         "n": graph.num_nodes,
         "requests": requests,
         "makespan": result.makespan,
-        "total_latency": result.total_latency,
+        # Builtin sum over completion order: exactly result.total_latency.
+        "total_latency": sum(latencies),
         "mean_hops": result.mean_hops,
         "local_find_fraction": result.local_find_fraction(),
         "messages_sent": result.network_stats["messages_sent"],

@@ -16,12 +16,13 @@ are persisted — the edges are fully determined by ``{prefix}max`` and
 the bin count, and persisting derived values would only duplicate
 information that must never disagree.
 
-Internally every summary is computed from a :class:`QuantileSketch` — a
-mergeable, t-digest-style centroid sketch.  Per-row sketches run in
-**exact mode** (``compression=None``): the sketch is then just the
-value multiset, and the derived columns are byte-identical to summaries
-computed directly over the sorted latency list (a differential test
-enforces this).  Cross-row aggregation — grid-level percentiles over
+The summaries are defined by :class:`QuantileSketch` — a mergeable,
+t-digest-style centroid sketch.  In **exact mode** (``compression=None``)
+the sketch is just the value multiset, and its columns are
+byte-identical to summaries computed directly over the sorted latency
+list; per-row columns (:func:`latency_columns`) are computed that way,
+from one sorted list (differential tests enforce both).  Cross-row
+aggregation — grid-level percentiles over
 millions of requests — builds one sketch per row from its persisted
 histogram (:meth:`QuantileSketch.from_histogram`) and merges them in a
 single streaming pass; compressed sketches bound their memory at
@@ -32,6 +33,7 @@ single streaming pass; compressed sketches bound their memory at
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any, Iterable
 
 __all__ = [
@@ -413,12 +415,54 @@ def latency_columns(
 
     Returns ``{prefix}mean/p50/p90/p99/max`` scalars plus
     ``{prefix}hist``: a list of ``bins`` counts over equal-width buckets
-    on ``[0, {prefix}max]`` (top edge inclusive).  Computed through an
-    exact-mode :class:`QuantileSketch`, which preserves the historical
-    byte-identical output for every persisted row.
+    on ``[0, {prefix}max]`` (top edge inclusive); a negative latency
+    raises :class:`ValueError`.  Computed from one sorted list with the
+    arithmetic of an exact-mode :class:`QuantileSketch`
+    (:func:`sketch_columns`), so every persisted row keeps its
+    historical bytes: the mean is a left-to-right sum over the sorted
+    values, the percentiles are nearest-rank indexes.
     """
     if bins <= 0:
         raise ValueError(f"bins must be positive, got {bins}")
-    return sketch_columns(
-        QuantileSketch.from_values(latencies), bins=bins, prefix=prefix
-    )
+    vals = sorted(map(float, latencies))
+    n = len(vals)
+    if n == 0:
+        return sketch_columns(QuantileSketch(), bins=bins, prefix=prefix)
+    if vals[0] < 0.0:
+        raise ValueError(f"latencies must be non-negative, got {vals[0]}")
+    # Sequential accumulation, never sum()/fsum(): sum() is compensated
+    # on Python >= 3.12 and would change the mean's last bits.
+    total = 0.0
+    for v in vals:
+        total += v
+    hi = vals[-1]
+    return {
+        f"{prefix}mean": total / n,
+        f"{prefix}p50": percentile_nearest_rank(vals, 50),
+        f"{prefix}p90": percentile_nearest_rank(vals, 90),
+        f"{prefix}p99": percentile_nearest_rank(vals, 99),
+        f"{prefix}max": hi,
+        f"{prefix}hist": _sorted_histogram(vals, bins, hi),
+    }
+
+
+def _sorted_histogram(vals: list[float], bins: int, hi: float) -> list[int]:
+    """:meth:`QuantileSketch.histogram` counts of a sorted, non-negative list.
+
+    The bucket index ``int(v * bins / hi)`` never decreases along a
+    sorted list of non-negative values, so each bucket is one contiguous
+    run, found by bisection instead of a pass over every value.
+    """
+    counts = [0] * bins
+    if hi <= 0.0:
+        counts[0] = len(vals)
+        return counts
+    scale = bins / hi
+    key = lambda v: int(v * scale)
+    start = 0
+    for b in range(bins - 1):
+        end = bisect_left(vals, b + 1, lo=start, key=key)
+        counts[b] = end - start
+        start = end
+    counts[bins - 1] = len(vals) - start
+    return counts

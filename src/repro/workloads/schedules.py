@@ -37,7 +37,7 @@ __all__ = [
 
 def one_shot(nodes: list[int]) -> RequestSchedule:
     """Every listed node issues one request at time 0 (concurrent case)."""
-    return RequestSchedule([(v, 0.0) for v in nodes])
+    return RequestSchedule.from_columns(nodes, np.zeros(len(nodes)))
 
 
 def sequential(
@@ -50,8 +50,8 @@ def sequential(
     """
     if gap <= 0:
         raise ScheduleError(f"gap must be positive, got {gap}")
-    return RequestSchedule(
-        [(v, start + i * gap) for i, v in enumerate(nodes)]
+    return RequestSchedule.from_columns(
+        nodes, [start + i * gap for i in range(len(nodes))]
     )
 
 
@@ -71,13 +71,10 @@ def poisson(
     if rate <= 0:
         raise ScheduleError(f"rate must be positive, got {rate}")
     rng = spawn_rng(seed, f"poisson-{num_nodes}-{count}-{rate}")
-    gaps = rng.exponential(1.0 / rate, size=count)
-    times = np.cumsum(gaps)
-    pool = nodes if nodes is not None else list(range(num_nodes))
+    times = np.cumsum(rng.exponential(1.0 / rate, size=count))
+    pool = np.arange(num_nodes) if nodes is None else np.asarray(nodes, dtype=np.int64)
     picks = rng.integers(0, len(pool), size=count)
-    return RequestSchedule(
-        [(pool[picks[i]], float(times[i])) for i in range(count)]
-    )
+    return RequestSchedule.from_columns(pool[picks], times)
 
 
 def bursty(
@@ -98,16 +95,16 @@ def bursty(
     if burst_span < 0 or idle_gap < 0:
         raise ScheduleError("burst_span and idle_gap must be non-negative")
     rng = spawn_rng(seed, f"bursty-{num_nodes}-{bursts}-{burst_size}")
-    pairs: list[tuple[int, float]] = []
+    times: list[np.ndarray] = []
+    picks: list[np.ndarray] = []
     t0 = 0.0
     for _ in range(bursts):
-        offsets = rng.uniform(0.0, burst_span, size=burst_size)
-        picks = rng.integers(0, num_nodes, size=burst_size)
-        pairs.extend(
-            (int(picks[i]), t0 + float(offsets[i])) for i in range(burst_size)
-        )
+        times.append(t0 + rng.uniform(0.0, burst_span, size=burst_size))
+        picks.append(rng.integers(0, num_nodes, size=burst_size))
         t0 += burst_span + idle_gap
-    return RequestSchedule(pairs)
+    if not times:
+        return RequestSchedule.from_columns([], [])
+    return RequestSchedule.from_columns(np.concatenate(picks), np.concatenate(times))
 
 
 def hotspot(
@@ -125,16 +122,16 @@ def hotspot(
     if not hot_nodes:
         raise ScheduleError("hot_nodes must be non-empty")
     rng = spawn_rng(seed, f"hotspot-{num_nodes}-{count}")
-    gaps = rng.exponential(1.0 / rate, size=count)
-    times = np.cumsum(gaps)
-    pairs = []
-    for i in range(count):
+    times = np.cumsum(rng.exponential(1.0 / rate, size=count))
+    # Scalar draws, interleaved per request: the draw order is the seed's
+    # contract, so the node choices cannot be drawn as one block.
+    picks = []
+    for _ in range(count):
         if rng.random() < hot_fraction:
-            v = hot_nodes[int(rng.integers(0, len(hot_nodes)))]
+            picks.append(hot_nodes[int(rng.integers(0, len(hot_nodes)))])
         else:
-            v = int(rng.integers(0, num_nodes))
-        pairs.append((v, float(times[i])))
-    return RequestSchedule(pairs)
+            picks.append(int(rng.integers(0, num_nodes)))
+    return RequestSchedule.from_columns(picks, times)
 
 
 def random_times(
@@ -157,4 +154,4 @@ def random_times(
         times = rng.uniform(0.0, horizon, size=count)
     else:
         times = rng.integers(0, max(1, int(horizon)) + 1, size=count).astype(float)
-    return RequestSchedule([(int(picks[i]), float(times[i])) for i in range(count)])
+    return RequestSchedule.from_columns(picks, times)

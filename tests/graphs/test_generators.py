@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs import (
+    Graph,
     balanced_binary_tree_graph,
     caterpillar_graph,
     complete_graph,
@@ -120,3 +121,39 @@ def test_lollipop_shape():
     assert g.num_nodes == 8
     assert g.num_edges == 10 + 3
     assert is_connected(g)
+
+
+def _complete_by_add_edge(n, weight=1.0):
+    """The historical add_edge loop, vendored as the oracle."""
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            g.add_edge(u, v, weight)
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+@pytest.mark.parametrize("weight", [1.0, 2, 0.25])
+def test_complete_graph_bulk_build_equals_add_edge_loop(n, weight):
+    bulk, loop = complete_graph(n, weight), _complete_by_add_edge(n, weight)
+    assert bulk.num_edges == loop.num_edges == n * (n - 1) // 2
+    assert list(bulk.edges()) == list(loop.edges())
+    for u in range(n):
+        assert list(bulk.neighbor_weights(u)) == list(loop.neighbor_weights(u))
+    # The bulk-built graph stays an ordinary, mutable Graph.
+    if n > 1:
+        bulk.add_edge(0, 1, 5.0)
+        assert bulk.weight(1, 0) == 5.0 and bulk.num_edges == loop.num_edges
+
+
+def test_complete_graph_rejects_bad_size_and_weight():
+    for n in (0, -3):
+        with pytest.raises(GraphError):
+            complete_graph(n)
+    for w in (0.0, -1.0):
+        with pytest.raises(GraphError):
+            complete_graph(4, w)
+        with pytest.raises(GraphError):
+            _complete_by_add_edge(4, w)
+    # One node has no edge, so add_edge never saw the weight either.
+    assert complete_graph(1, 0.0).num_edges == _complete_by_add_edge(1, 0.0).num_edges

@@ -28,6 +28,7 @@ from repro.sweep.stats import (
     QuantileSketch,
     latency_columns,
     percentile_nearest_rank,
+    sketch_columns,
 )
 
 
@@ -235,3 +236,23 @@ def test_histogram_mass_conserved_under_compression():
         (rng.uniform(0, 30) for _ in range(10_000)), compression=50
     )
     assert sum(sk.histogram(DEFAULT_BINS)) == 10_000
+
+
+@pytest.mark.parametrize("bins", [1, 3, DEFAULT_BINS, 64])
+def test_sorted_list_columns_replay_the_exact_sketch(bins):
+    """latency_columns sorts once instead of filling a sketch; the bytes
+    must be what an exact sketch's columns were, bins edges included."""
+    rng = random.Random(bins)
+    extra = [
+        [float(k % 7) * 1.1 for k in range(500)],  # ties on bucket edges
+        [1e-300, 2e-300, 5.0, 5.0],
+        [rng.expovariate(0.1) for _ in range(10_000)],
+    ]
+    for vals in [*corpora(), *extra]:
+        want = sketch_columns(QuantileSketch.from_values(vals), bins=bins)
+        assert repr(latency_columns(vals, bins=bins)) == repr(want)
+
+
+def test_negative_latency_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        latency_columns([1.0, -0.5, 2.0])
