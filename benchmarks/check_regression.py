@@ -1,12 +1,12 @@
 """Benchmark regression gate: fresh speedups vs the committed baseline.
 
-CI reruns ``benchmarks/test_batch_vs_fast_engine.py`` on every push,
-which rewrites ``BENCH_batch.json`` with freshly measured batch-vs-fast
-speedup ratios.  This script compares those fresh ratios against the
-committed baseline copy: any scenario whose speedup fell below
-``baseline * (1 - tolerance)`` — or that vanished from the fresh
+CI reruns ``benchmarks/test_fast_vs_message_engine.py`` on every push,
+which rewrites ``BENCH_engine.json`` with freshly measured
+fast-vs-message speedup ratios.  This script compares those fresh ratios
+against the committed baseline copy: any scenario whose speedup fell
+below ``baseline * (1 - tolerance)`` — or that vanished from the fresh
 results — fails the gate with a named report, so a perf regression in
-the batch engine (or its dispatch path) turns the job red instead of
+the fast engine (or its delay sources) turns the job red instead of
 silently eroding the archived trajectory.  Improvements beyond the
 tolerance are reported but never fail: the gate is one-sided, guarding
 the floor.
@@ -19,7 +19,7 @@ codes.
 Usage::
 
     python benchmarks/check_regression.py \
-        --baseline bench_baseline.json --fresh BENCH_batch.json \
+        --baseline bench_baseline.json --fresh BENCH_engine.json \
         --tolerance 0.25
 """
 

@@ -39,6 +39,9 @@ from repro.experiments import (
 
 __all__ = ["main"]
 
+#: Every ``--engine`` choice: the fast engine and the message-level oracle.
+_ENGINES = ["fast", "message"]
+
 
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
@@ -169,7 +172,7 @@ def _add_grid_arguments(parser) -> None:
                              "loss:RATE terms (open-loop grids only; repeat "
                              "the flag to sweep a fault axis of several "
                              "plans)")
-    parser.add_argument("--engine", choices=["fast", "message", "batch"],
+    parser.add_argument("--engine", choices=_ENGINES,
                         default="fast")
 
 
@@ -391,19 +394,19 @@ def main(argv: list[str] | None = None) -> int:
     p10.add_argument("--service-time", type=float, default=0.1)
     p10.add_argument("--think-time", type=float, default=0.1)
     p10.add_argument("--seed", type=int, default=0)
-    p10.add_argument("--engine", choices=["fast", "message", "batch"],
+    p10.add_argument("--engine", choices=_ENGINES,
                      default="fast",
                      help="closed-loop engine (bit-identical; fast is ~5x "
-                          "over message, batch adds vectorized RNG draws)")
+                          "over message)")
     p10.add_argument("--workers", type=int, default=1)
 
     p11 = sub.add_parser("fig11", help="arrow hops per operation")
     p11.add_argument("--procs", type=_int_list, default=None)
     p11.add_argument("--requests-per-proc", type=int, default=300)
     p11.add_argument("--seed", type=int, default=0)
-    p11.add_argument("--engine", choices=["fast", "message", "batch", "open"],
+    p11.add_argument("--engine", choices=[*_ENGINES, "open"],
                      default="fast",
-                     help="closed-loop engine (fast/message/batch, "
+                     help="closed-loop engine (fast/message, "
                           "bit-identical) or the open-loop steady-state "
                           "analogue")
     p11.add_argument("--workers", type=int, default=1)
@@ -412,30 +415,30 @@ def main(argv: list[str] | None = None) -> int:
     p9.add_argument("-D", type=int, default=64)
     p9.add_argument("-k", type=int, default=4)
     p9.add_argument("--variant", choices=["literal", "layered"], default="layered")
-    p9.add_argument("--engine", choices=["fast", "message", "batch"], default=None,
+    p9.add_argument("--engine", choices=_ENGINES, default=None,
                     help="also simulate the instance on this arrow engine")
 
     p319 = sub.add_parser("thm319", help="competitive ratio sweep (sync)")
     p319.add_argument("--diameters", type=_int_list, default=None)
     p319.add_argument("--requests", type=int, default=60)
-    p319.add_argument("--engine", choices=["message", "fast", "batch"],
+    p319.add_argument("--engine", choices=_ENGINES,
                       default="message")
     p319.add_argument("--workers", type=int, default=1)
 
     p321 = sub.add_parser("thm321", help="asynchronous comparison")
     p321.add_argument("--diameters", type=_int_list, default=None)
     p321.add_argument("--requests", type=int, default=60)
-    p321.add_argument("--engine", choices=["message", "fast", "batch"],
+    p321.add_argument("--engine", choices=_ENGINES,
                       default="message")
     p321.add_argument("--workers", type=int, default=1)
 
     p41 = sub.add_parser("thm41", help="lower-bound ratio growth sweep")
-    p41.add_argument("--engine", choices=["fast", "message", "batch"], default=None,
+    p41.add_argument("--engine", choices=_ENGINES, default=None,
                      help="also report the simulated execution's ratio")
     p41.add_argument("--workers", type=int, default=1)
     p42 = sub.add_parser("thm42", help="lower bound vs stretch")
     p42.add_argument("--stretches", type=_int_list, default=None)
-    p42.add_argument("--engine", choices=["fast", "message", "batch"], default=None)
+    p42.add_argument("--engine", choices=_ENGINES, default=None)
     p42.add_argument("--workers", type=int, default=1)
 
     pdir = sub.add_parser("directory", help="arrow vs home-based directory (5.1)")

@@ -24,7 +24,13 @@ counter reproduces the kernel's tie-breaking exactly.  FIFO clamping per
 directed tree link and the per-node busy-until service model are replayed
 arithmetically, and stochastic latency models draw from the same
 ``spawn_rng(seed, "network-latency")`` stream in the same order as
-:class:`~repro.net.network.Network` would.
+:class:`~repro.net.network.Network` would (through
+:func:`~repro.net.latency.link_sampler`'s block draws).
+
+The open-loop hot loop exists twice: :meth:`FastArrowEngine._drain` for
+the fault-free ``service_time == 0`` model, and the general loop
+:meth:`FastArrowEngine._drain_with_service`, which adds per-node service
+and carries the fault hooks :func:`repro.faults.run_arrow_faulted` uses.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
 from repro.errors import NetworkError, ProtocolError, SimulationError
 from repro.graphs.graph import Graph
 from repro.graphs.validation import require_spanning_subgraph
-from repro.net.latency import LatencyModel, UnitLatency
+from repro.net.latency import LatencyModel, UnitLatency, link_sampler
 from repro.sim.rng import spawn_rng
 from repro.spanning.tree import SpanningTree
 
@@ -48,8 +54,8 @@ def arrow_runner(engine: str):
     """Resolve an engine name to its run function.
 
     The single validation point for the experiment layer's
-    ``engine="fast" | "message" | "batch"`` knobs — unknown names raise
-    instead of silently falling back to one of the engines.
+    ``engine="fast" | "message"`` knobs — unknown names raise instead of
+    silently falling back to one of the engines.
     """
     if engine == "fast":
         return run_arrow_fast
@@ -57,13 +63,8 @@ def arrow_runner(engine: str):
         from repro.core.runner import run_arrow
 
         return run_arrow
-    if engine == "batch":
-        from repro.core.batch import run_arrow_batch
+    raise ValueError(f"engine must be 'fast' or 'message', got {engine!r}")
 
-        return run_arrow_batch
-    raise ValueError(
-        f"engine must be 'fast', 'message' or 'batch', got {engine!r}"
-    )
 
 def _raise_livelock(max_events: int | None) -> None:
     raise SimulationError(
@@ -71,7 +72,41 @@ def _raise_livelock(max_events: int | None) -> None:
     )
 
 
+def _tree_links(
+    graph: Graph, tree: SpanningTree, model: LatencyModel, seed: int
+) -> tuple[list[int], list[float], list[float] | None, list[float] | None]:
+    """Parent pointers, link weights and deterministic link delays of a tree.
+
+    Weights are the graph's weights on the tree edges, as the Network
+    sees them (``tree.edge_weight`` may legitimately differ).
+    Deterministic models ignore the rng but may legally depend on the
+    (src, dst) direction, so they get one delay per *directed* link:
+    ``up[v]`` = v -> parent[v], ``down[v]`` = parent[v] -> v.  Both
+    tables are ``None`` for stochastic models, which draw per send.
+    """
+    root = tree.root
+    parent = list(tree.parent)
+    weight = [0.0] * len(parent)
+    for v in range(len(parent)):
+        if v != root:
+            weight[v] = graph.weight(v, parent[v])
+    if model.stochastic:
+        return parent, weight, None, None
+    rng = spawn_rng(seed, "network-latency")
+    sample = model.sample
+    up = [
+        sample(v, parent[v], weight[v], rng) if v != root else 0.0
+        for v in range(len(parent))
+    ]
+    down = [
+        sample(parent[v], v, weight[v], rng) if v != root else 0.0
+        for v in range(len(parent))
+    ]
+    return parent, weight, up, down
+
+
 # Event type tags inside the general loop's heap tuples.
+_CRASH = 0
 _ARRIVE = 1
 _DISPATCH = 2
 
@@ -107,36 +142,11 @@ class FastArrowEngine:
         self.seed = seed
         self.service_time = float(service_time)
 
-        n = tree.num_nodes
-        self._n = n
+        self._n = tree.num_nodes
         self._root = tree.root
-        self._parent = list(tree.parent)
-        # Per-link weights as the Network sees them: graph weights on the
-        # tree edges (tree.edge_weight may legitimately differ).
-        self._weight = [0.0] * n
-        for v in range(n):
-            if v != self._root:
-                self._weight[v] = graph.weight(v, self._parent[v])
-        # Deterministic models ignore the rng but may legally depend on the
-        # (src, dst) direction, so precompute one delay per *directed* link:
-        # up[v] = v -> parent[v], down[v] = parent[v] -> v.
-        self._det_up: list[float] | None = None
-        self._det_down: list[float] | None = None
-        if not self.latency.stochastic:
-            rng = spawn_rng(seed, "network-latency")
-            sample = self.latency.sample
-            self._det_up = [
-                sample(v, self._parent[v], self._weight[v], rng)
-                if v != self._root
-                else 0.0
-                for v in range(n)
-            ]
-            self._det_down = [
-                sample(self._parent[v], v, self._weight[v], rng)
-                if v != self._root
-                else 0.0
-                for v in range(n)
-            ]
+        self._parent, self._weight, self._det_up, self._det_down = _tree_links(
+            graph, tree, self.latency, seed
+        )
 
     # ------------------------------------------------------------------
     def run(
@@ -151,6 +161,20 @@ class FastArrowEngine:
         ``on_event``, when set, receives the protocol trace in the same
         order the message engine emits it (see :mod:`repro.monitors`);
         ``None`` (the default) keeps the hot loops emission-free.
+        """
+        return self._run(schedule, max_events, on_event, None)
+
+    def _run(
+        self,
+        schedule: RequestSchedule,
+        max_events: int | None,
+        on_event,
+        fs,
+    ) -> RunResult:
+        """:meth:`run`, optionally under a :class:`repro.faults._FaultState`.
+
+        A faulted run always takes the general loop and closes with
+        ``fs.finish``, which fills in ``fs.report``.
         """
         schedule.validate_nodes(self._n)
 
@@ -181,7 +205,7 @@ class FastArrowEngine:
         done: list[tuple[int, int, int, float, int]] = []
 
         t0 = _wall.perf_counter()
-        if self.service_time == 0.0:
+        if fs is None and self.service_time == 0.0:
             now, fired, messages = self._drain(
                 init_times, init_nodes, link, last_rid, last_delivery,
                 done, max_events, on_event,
@@ -189,7 +213,7 @@ class FastArrowEngine:
         else:
             now, fired, messages = self._drain_with_service(
                 init_times, init_nodes, link, last_rid, last_delivery,
-                done, max_events, on_event,
+                done, max_events, on_event, fs,
             )
         wall = _wall.perf_counter() - t0
 
@@ -202,12 +226,20 @@ class FastArrowEngine:
             "routed_messages": 0,
             "hops_total": messages,
         }
-        if len(done) != len(schedule):
+        if fs is not None:
+            fs.finish(link, len(done), len(schedule))
+        elif len(done) != len(schedule):
             raise ProtocolError(
                 f"arrow run completed {len(done)} of "
                 f"{len(schedule)} requests"
             )
         return result
+
+    def _delay_source(self):
+        """This run's per-send sampler; ``None`` for deterministic models."""
+        if self._det_up is not None:
+            return None
+        return link_sampler(self.latency, spawn_rng(self.seed, "network-latency"))
 
     # ------------------------------------------------------------------
     def _drain(
@@ -226,8 +258,7 @@ class FastArrowEngine:
         weight = self._weight
         det_up = self._det_up
         det_down = self._det_down
-        sample = self.latency.sample
-        rng = spawn_rng(self.seed, "network-latency") if det_up is None else None
+        draw = self._delay_source()
         append = done.append
         push, pop = heappush, heappop
 
@@ -290,7 +321,7 @@ class FastArrowEngine:
                 emit("send", rid, v, dst, now)
             down = parent[dst] == v
             if det_up is None:
-                delay = sample(v, dst, weight[dst if down else v], rng)
+                delay = draw(v, dst, weight[dst if down else v])
             else:
                 delay = det_down[dst] if down else det_up[v]
             chan = 2 * dst + 1 if down else 2 * v
@@ -313,25 +344,45 @@ class FastArrowEngine:
         last_delivery: list[float],
         done: list[tuple[int, int, int, float, int]],
         max_events: int | None,
-        emit=None,
+        emit,
+        fs,
     ) -> tuple[float, int, int]:
-        """General loop with per-node sequential service (Fig. 10 model)."""
+        """General loop: per-node sequential service (Fig. 10) and faults.
+
+        ``fs`` is ``None`` or the run's :class:`repro.faults._FaultState`;
+        every fault hook sits under one ``fs is not None`` test per site.
+        Kernel-parity sequence numbering: initiations own seqs
+        ``0..m-1``, the plan's crash events ``m..m+c-1`` (the message
+        runner schedules them in exactly that order), messages count on
+        from ``m+c``.  A dropped send consumes no sequence number, no
+        latency draw and no FIFO clamp: the message engine never reaches
+        ``transmit`` for it either.
+        """
         parent = self._parent
         weight = self._weight
         det_up = self._det_up
         det_down = self._det_down
-        sample = self.latency.sample
+        draw = self._delay_source()
         service = self.service_time
-        rng = spawn_rng(self.seed, "network-latency") if det_up is None else None
         busy_until = [0.0] * self._n  # Network._busy_until
         append = done.append
 
         # (time, seq, tag, node, src, rid, hops) with explicit event tags:
         # arrivals go through the service stage, dispatches do the work.
+        # Without service time (faulted runs only) a message is handled
+        # the moment it arrives, so sends are tagged as dispatches.
+        arrive = _ARRIVE if service > 0.0 else _DISPATCH
         limit = float("inf") if max_events is None else max_events
-        heap: list[tuple[float, int, int, int, int, int, int]] = []
         m = len(init_times)
-        seq = m
+        heap: list[tuple[float, int, int, int, int, int, int]] = []
+        if fs is not None:
+            down_nodes = fs.down
+            heap = [
+                (t, m + k, _CRASH, v, -1, -1, 0)
+                for k, (v, t) in enumerate(fs.crashes)
+            ]
+            heap.sort()
+        seq = m + len(heap)
         i = 0
         fired = 0
         messages = 0
@@ -346,6 +397,15 @@ class FastArrowEngine:
                 fired += 1
                 if fired > limit:
                     _raise_livelock(max_events)
+                if fs is not None:
+                    # Quiescent-point repair first, so the request sees a
+                    # consistent configuration whenever one is restorable.
+                    if fs.repair_due():
+                        sink, er = fs.repair(link, now)
+                        last_rid[sink] = er
+                    if down_nodes[v]:
+                        fs.drop_initiation(rid, v, now)
+                        continue
                 if emit is not None:
                     emit("init", rid, v, now)
                 x = link[v]
@@ -365,6 +425,8 @@ class FastArrowEngine:
                 if fired > limit:
                     _raise_livelock(max_events)
                 if tag == _ARRIVE:
+                    if fs is not None and fs.drops_arrival(src, v, rid, now):
+                        continue
                     # Serialise handling at v (Network._arrive): the
                     # path-reversal step runs as its own dispatch event.
                     begin = busy_until[v]
@@ -375,6 +437,17 @@ class FastArrowEngine:
                     heappush(heap, (finish, seq, _DISPATCH, v, src, rid, hops))
                     seq += 1
                     continue
+                if fs is not None:
+                    if tag == _CRASH:
+                        fs.crash(v, now)
+                        link[v] = v
+                        continue
+                    if fs.drops_arrival(src, v, rid, now):
+                        # A down node drops the message undelivered (with
+                        # service time: it crashed while the message waited).
+                        continue
+                    fs.in_flight -= 1
+                # Path reversal (ArrowNode.on_message).
                 if emit is not None:
                     emit("deliver", rid, v, src, now)
                 x = link[v]
@@ -391,9 +464,13 @@ class FastArrowEngine:
 
             if emit is not None:
                 emit("send", rid, v, dst, now)
+            if fs is not None:
+                if fs.drops_send(v, dst, rid, now):
+                    continue
+                fs.in_flight += 1
             down = parent[dst] == v
             if det_up is None:
-                delay = sample(v, dst, weight[dst if down else v], rng)
+                delay = draw(v, dst, weight[dst if down else v])
             else:
                 delay = det_down[dst] if down else det_up[v]
             chan = 2 * dst + 1 if down else 2 * v
@@ -401,9 +478,14 @@ class FastArrowEngine:
             if at < last_delivery[chan]:
                 at = last_delivery[chan]
             last_delivery[chan] = at
-            heappush(heap, (at, seq, _ARRIVE, dst, v, rid, hops))
+            heappush(heap, (at, seq, arrive, dst, v, rid, hops))
             seq += 1
             messages += 1
+
+        if fs is not None and fs.degraded:
+            # End-of-run repair: the heap drained, so the run is quiescent.
+            sink, er = fs.repair(link, now)
+            last_rid[sink] = er
         return now, fired, messages
 
 

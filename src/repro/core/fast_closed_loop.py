@@ -15,15 +15,6 @@ hops and latencies, issue/ack times, message totals, tie-breaking and RNG
 draws), which ``tests/core/test_fast_closed_loop_parity.py`` enforces
 instance by instance.
 
-The event loops themselves live in :func:`_run_arrow_closed_loop` and
-:func:`_run_centralized_closed_loop`, parameterised by their *delay
-sources* (deterministic per-link tables, a per-send sampler, a router for
-the acknowledgements).  The fast engine binds them to scalar
-``LatencyModel.sample`` calls; the numpy batch engine
-(:mod:`repro.core.batch`) binds the *same* loops to block-buffered
-vectorized draws, which is what keeps all three engines bit-identical by
-construction.
-
 Why bit-identical is achievable
 -------------------------------
 The message-level kernel orders events by ``(time, priority, seq)`` with a
@@ -44,6 +35,9 @@ fast engine schedules the *same* events in the *same* order:
   arithmetically; stochastic latency models draw from the same
   ``spawn_rng(seed, "network-latency")`` stream in the same order —
   one draw per tree-link traversal, one draw per edge of a routed path.
+  Link sends and routed paths share one
+  :func:`~repro.net.latency.link_sampler`, since they interleave on that
+  one stream.
 """
 
 from __future__ import annotations
@@ -51,12 +45,13 @@ from __future__ import annotations
 import time as _wall
 from heapq import heappop, heappush
 
+from repro.core.fast_arrow import _raise_livelock, _tree_links
 from repro.core.requests import NO_RID, ROOT_RID
-from repro.errors import NetworkError, SimulationError
+from repro.errors import NetworkError
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import dijkstra
 from repro.graphs.validation import require_spanning_subgraph
-from repro.net.latency import LatencyModel, UnitLatency
+from repro.net.latency import LatencyModel, UnitLatency, link_sampler
 from repro.sim.rng import spawn_rng
 from repro.spanning.tree import SpanningTree
 from repro.workloads.closed_loop import ClosedLoopResult, _check_complete
@@ -72,8 +67,8 @@ def closed_loop_runner(protocol: str, engine: str):
     """Resolve ``(protocol, engine)`` to a closed-loop run function.
 
     The single validation point for the experiment layer's closed-loop
-    ``engine="fast" | "message" | "batch"`` knobs — unknown names raise
-    instead of silently falling back.
+    ``engine="fast" | "message"`` knobs — unknown names raise instead of
+    silently falling back.
     """
     if protocol not in ("arrow", "centralized"):
         raise ValueError(
@@ -92,26 +87,7 @@ def closed_loop_runner(protocol: str, engine: str):
         )
 
         return closed_loop_arrow if protocol == "arrow" else closed_loop_centralized
-    if engine == "batch":
-        from repro.core.batch import (
-            closed_loop_arrow_batch,
-            closed_loop_centralized_batch,
-        )
-
-        return (
-            closed_loop_arrow_batch
-            if protocol == "arrow"
-            else closed_loop_centralized_batch
-        )
-    raise ValueError(
-        f"engine must be 'fast', 'message' or 'batch', got {engine!r}"
-    )
-
-
-def _raise_livelock(max_events: int | None) -> None:
-    raise SimulationError(
-        f"exceeded max_events={max_events}; possible livelock in protocol code"
-    )
+    raise ValueError(f"engine must be 'fast' or 'message', got {engine!r}")
 
 
 # Event type tags inside the heap tuples.  Every tuple is
@@ -173,59 +149,22 @@ def _fill_result(
     return result
 
 
-def _tree_link_weights(graph: Graph, parent: list[int], root: int) -> list[float]:
-    """Per-link weights as the Network sees them: graph weights on tree edges."""
-    weight = [0.0] * len(parent)
-    for v in range(len(parent)):
-        if v != root:
-            weight[v] = graph.weight(v, parent[v])
-    return weight
-
-
-def _det_link_delays(
-    model: LatencyModel,
-    parent: list[int],
-    weight: list[float],
-    root: int,
-    rng,
-) -> tuple[list[float] | None, list[float] | None]:
-    """Per-directed-tree-link delays of a deterministic latency model.
-
-    Deterministic models may legally depend on the (src, dst) direction,
-    so one delay per directed link: up[v] = v -> parent[v], down[v] =
-    parent[v] -> v.  ``(None, None)`` for stochastic models, which must
-    draw per send.
-    """
-    if model.stochastic:
-        return None, None
-    sample = model.sample
-    n = len(parent)
-    det_up = [
-        sample(v, parent[v], weight[v], rng) if v != root else 0.0
-        for v in range(n)
-    ]
-    det_down = [
-        sample(parent[v], v, weight[v], rng) if v != root else 0.0
-        for v in range(n)
-    ]
-    return det_up, det_down
-
-
 class _Router:
     """Shortest-path routing over ``G``, mirroring :meth:`Network._route`.
 
     Caches the Dijkstra predecessor array per source and the reconstructed
     path per ``(src, dst)`` pair.  For deterministic latency models the
     summed path delay is cached outright; stochastic models re-sample every
-    edge per send, in path order, exactly as ``send_routed`` does.
+    edge per send through ``draw``, in path order, exactly as
+    ``send_routed`` does.
     """
 
-    __slots__ = ("graph", "latency", "rng", "_sssp", "_paths", "_det")
+    __slots__ = ("graph", "stochastic", "draw", "_sssp", "_paths", "_det")
 
-    def __init__(self, graph: Graph, latency: LatencyModel, rng) -> None:
+    def __init__(self, graph: Graph, stochastic: bool, draw) -> None:
         self.graph = graph
-        self.latency = latency
-        self.rng = rng
+        self.stochastic = stochastic
+        self.draw = draw
         self._sssp: dict[int, list[int]] = {}
         self._paths: dict[tuple[int, int], tuple[list[int], list[int], list[float]]] = {}
         self._det: dict[tuple[int, int], tuple[float, int]] = {}
@@ -257,53 +196,54 @@ class _Router:
 
     def delay_hops(self, src: int, dst: int) -> tuple[float, int]:
         """Summed per-edge delay and hop count of one routed send."""
-        if not self.latency.stochastic:
+        if not self.stochastic:
             cached = self._det.get((src, dst))
             if cached is not None:
                 return cached
         srcs, dsts, weights = self._path_edges(src, dst)
-        sample = self.latency.sample
-        rng = self.rng
+        draw = self.draw
         delay = 0.0
         for a, b, w in zip(srcs, dsts, weights):
-            delay += sample(a, b, w, rng)
+            delay += draw(a, b, w)
         out = (delay, len(srcs))
-        if not self.latency.stochastic:
+        if not self.stochastic:
             self._det[(src, dst)] = out
         return out
 
 
-# ----------------------------------------------------------------------
-# shared closed-loop cores (fast and batch engines both run these)
-# ----------------------------------------------------------------------
-def _run_arrow_closed_loop(
-    result: ClosedLoopResult,
-    parent: list[int],
-    root: int,
-    weight: list[float],
+def closed_loop_arrow_fast(
+    graph: Graph,
+    tree: SpanningTree,
     *,
     requests_per_proc: int,
-    service: float,
-    think: float,
-    max_events: int | None,
-    det_up: list[float] | None,
-    det_down: list[float] | None,
-    sample_link,
-    router,
+    latency: LatencyModel | None = None,
+    seed: int = 0,
+    service_time: float = 0.0,
+    think_time: float = 0.0,
+    max_events: int | None = None,
     on_event=None,
 ) -> ClosedLoopResult:
-    """The arrow closed-loop event loop, delay sources injected.
+    """Closed-loop arrow run, bit-identical to ``closed_loop_arrow``.
 
-    ``det_up``/``det_down`` carry per-directed-link delays for
-    deterministic latency models (``sample_link`` is then never called);
-    for stochastic models they are ``None`` and ``sample_link(src, dst,
-    weight)`` must return the next delay of the run's latency stream.
-    ``router.delay_hops`` provides the routed acknowledgement delays.
     ``on_event``, when set, receives the queuing-layer protocol trace
     (see :mod:`repro.monitors`); acknowledgement traffic is application
     level and not part of it.
     """
-    n = len(parent)
+    if service_time < 0:
+        raise NetworkError(f"service_time must be >= 0, got {service_time}")
+    require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
+    n = graph.num_nodes
+    result = ClosedLoopResult("arrow", n, requests_per_proc)
+    model = latency if latency is not None else UnitLatency()
+    service = float(service_time)
+    think = float(think_time)
+
+    # One sampler for tree-link sends and routed acknowledgements alike:
+    # they interleave on the run's one network-latency stream.
+    root = tree.root
+    parent, weight, det_up, det_down = _tree_links(graph, tree, model, seed)
+    draw = link_sampler(model, spawn_rng(seed, "network-latency"))
+    router = _Router(graph, model.stochastic, draw)
 
     # Protocol state (ArrowNode.init_pointers, flattened).
     link = parent[:]
@@ -343,7 +283,7 @@ def _run_arrow_closed_loop(
             emit("send", rid, v, dst, now)
         down = parent[dst] == v
         if det_up is None:
-            delay = sample_link(v, dst, weight[dst if down else v])
+            delay = draw(v, dst, weight[dst if down else v])
         else:
             delay = det_down[dst] if down else det_up[v]
         chan = 2 * dst + 1 if down else 2 * v
@@ -465,22 +405,35 @@ def _run_arrow_closed_loop(
     )
 
 
-def _run_centralized_closed_loop(
-    result: ClosedLoopResult,
-    n: int,
+def closed_loop_centralized_fast(
+    graph: Graph,
     center: int,
     *,
     requests_per_proc: int,
-    service: float,
-    think: float,
-    max_events: int | None,
-    router,
+    latency: LatencyModel | None = None,
+    seed: int = 0,
+    service_time: float = 0.0,
+    think_time: float = 0.0,
+    max_events: int | None = None,
 ) -> ClosedLoopResult:
-    """The centralized closed-loop event loop, routing injected.
+    """Closed-loop centralized run, bit-identical to ``closed_loop_centralized``.
 
     Every delay of this protocol is a routed path (creq to the centre,
-    queue_reply back), so ``router.delay_hops`` is the only delay source.
+    queue_reply back), so the router is the only delay source.
     """
+    if service_time < 0:
+        raise NetworkError(f"service_time must be >= 0, got {service_time}")
+    n = graph.num_nodes
+    if not 0 <= center < n:
+        raise NetworkError(f"center {center} out of range for {n} nodes")
+    result = ClosedLoopResult("centralized", n, requests_per_proc)
+    model = latency if latency is not None else UnitLatency()
+    service = float(service_time)
+    think = float(think_time)
+    router = _Router(
+        graph, model.stochastic, link_sampler(model, spawn_rng(seed, "network-latency"))
+    )
+
     busy_until = [0.0] * n
     (
         heap,
@@ -588,84 +541,4 @@ def _run_centralized_closed_loop(
         owners=owners,
         latencies=latencies,
         wall=wall,
-    )
-
-
-# ----------------------------------------------------------------------
-# the fast engine: scalar delay sources bound to the shared cores
-# ----------------------------------------------------------------------
-def closed_loop_arrow_fast(
-    graph: Graph,
-    tree: SpanningTree,
-    *,
-    requests_per_proc: int,
-    latency: LatencyModel | None = None,
-    seed: int = 0,
-    service_time: float = 0.0,
-    think_time: float = 0.0,
-    max_events: int | None = None,
-    on_event=None,
-) -> ClosedLoopResult:
-    """Closed-loop arrow run, bit-identical to ``closed_loop_arrow``."""
-    if service_time < 0:
-        raise NetworkError(f"service_time must be >= 0, got {service_time}")
-    require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
-    n = graph.num_nodes
-    result = ClosedLoopResult("arrow", n, requests_per_proc)
-    model = latency if latency is not None else UnitLatency()
-    rng = spawn_rng(seed, "network-latency")
-
-    root = tree.root
-    parent = list(tree.parent)
-    weight = _tree_link_weights(graph, parent, root)
-    det_up, det_down = _det_link_delays(model, parent, weight, root, rng)
-    sample = model.sample
-
-    return _run_arrow_closed_loop(
-        result,
-        parent,
-        root,
-        weight,
-        requests_per_proc=requests_per_proc,
-        service=float(service_time),
-        think=float(think_time),
-        max_events=max_events,
-        det_up=det_up,
-        det_down=det_down,
-        sample_link=lambda v, dst, w: sample(v, dst, w, rng),
-        router=_Router(graph, model, rng),
-        on_event=on_event,
-    )
-
-
-def closed_loop_centralized_fast(
-    graph: Graph,
-    center: int,
-    *,
-    requests_per_proc: int,
-    latency: LatencyModel | None = None,
-    seed: int = 0,
-    service_time: float = 0.0,
-    think_time: float = 0.0,
-    max_events: int | None = None,
-) -> ClosedLoopResult:
-    """Closed-loop centralized run, bit-identical to ``closed_loop_centralized``."""
-    if service_time < 0:
-        raise NetworkError(f"service_time must be >= 0, got {service_time}")
-    n = graph.num_nodes
-    if not 0 <= center < n:
-        raise NetworkError(f"center {center} out of range for {n} nodes")
-    result = ClosedLoopResult("centralized", n, requests_per_proc)
-    model = latency if latency is not None else UnitLatency()
-    rng = spawn_rng(seed, "network-latency")
-
-    return _run_centralized_closed_loop(
-        result,
-        n,
-        center,
-        requests_per_proc=requests_per_proc,
-        service=float(service_time),
-        think=float(think_time),
-        max_events=max_events,
-        router=_Router(graph, model, rng),
     )

@@ -33,12 +33,12 @@ back up.  Recovery metrics (corrections applied, repairs run, requests
 lost, time from first degradation to repair) come back in the
 :class:`FaultReport`.
 
-Engine parity: ``engine="fast"`` and ``engine="batch"`` run one shared
-flat-heap loop (batch differs only in drawing its loss stream in
-bitstream-identical blocks); ``engine="message"`` runs the genuine
+Engine parity: ``engine="fast"`` runs the general loop of
+:class:`~repro.core.fast_arrow.FastArrowEngine` with this module's fault
+hooks; ``engine="message"`` runs the genuine
 :class:`~repro.net.network.Network` simulation with a fault-aware
-subclass.  All three produce identical results for identical inputs —
-the same event order, the same drops, the same repairs — which the fault
+subclass.  Both produce identical results for identical inputs — the
+same event order, the same drops, the same repairs — which the fault
 differential tests enforce.
 """
 
@@ -46,17 +46,16 @@ from __future__ import annotations
 
 import time as _wall
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from repro.core.arrow import ArrowNode
-from repro.core.fast_arrow import _raise_livelock, arrow_runner
+from repro.core.fast_arrow import FastArrowEngine, arrow_runner
 from repro.core.queueing import CompletionRecord, RunResult
-from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
+from repro.core.requests import RequestSchedule
 from repro.core.stabilize import find_violations_links, stabilize_links
 from repro.errors import FaultPlanError, ProtocolError
 from repro.graphs.graph import Graph
 from repro.graphs.validation import require_spanning_subgraph
-from repro.net.latency import LatencyModel, UnitLatency
+from repro.net.latency import LatencyModel, UnitLatency, block_draws
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -70,12 +69,6 @@ __all__ = [
     "parse_fault_plan",
     "run_arrow_faulted",
 ]
-
-#: Loss draws per block refill on the batch engine (an array fill of
-#: ``Generator.random`` consumes the bitstream exactly like the same
-#: number of scalar calls, so block draws replay the scalar order).
-_LOSS_BLOCK = 4096
-
 
 def epoch_rid(k: int) -> int:
     """The fresh rid minted for the ``k``-th repair's sink (k from 0).
@@ -231,32 +224,6 @@ class FaultReport:
         }
 
 
-class _LossStream:
-    """Uniform [0, 1) draws from the ``fault-loss`` stream, in send order.
-
-    ``block=True`` refills from ``Generator.random(_LOSS_BLOCK)`` — the
-    batch engine's draw style, bitstream-identical to scalar calls.
-    """
-
-    __slots__ = ("_rng", "_buf", "_pos", "_block")
-
-    def __init__(self, rng, block: bool) -> None:
-        self._rng = rng
-        self._block = block
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def one(self) -> float:
-        if not self._block:
-            return float(self._rng.random())
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.random(_LOSS_BLOCK).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
-
-
 def _drop_windows(
     plan: FaultPlan, tree: SpanningTree
 ) -> dict[int, tuple[tuple[float, float], ...]]:
@@ -279,14 +246,15 @@ def _drop_windows(
 class _FaultState:
     """Shared fault bookkeeping: drop decisions, degradation, recovery.
 
-    One instance per run; both the flat-heap loop and the message-engine
-    network subclass drive the same state machine, which is what keeps
-    the engines' fault semantics identical.
+    One instance per run; both the fast engine's general loop and the
+    message-engine network subclass drive the same state machine, which
+    is what keeps the engines' fault semantics identical.
     """
 
     __slots__ = (
         "tree",
         "parent",
+        "crashes",
         "down",
         "windows",
         "loss_rate",
@@ -305,16 +273,17 @@ class _FaultState:
         plan: FaultPlan,
         seed: int,
         *,
-        block_loss: bool,
         emit,
     ) -> None:
         self.tree = tree
         self.parent = tree.parent
+        self.crashes = plan.crashes
         self.down = [False] * tree.num_nodes
         self.windows = _drop_windows(plan, tree)
         self.loss_rate = plan.loss_rate
+        # Uniform [0, 1) draws from the fault-loss stream, in send order.
         self.loss = (
-            _LossStream(spawn_rng(seed, "fault-loss"), block_loss)
+            block_draws(spawn_rng(seed, "fault-loss").random)
             if plan.loss_rate > 0.0
             else None
         )
@@ -352,7 +321,7 @@ class _FaultState:
             if t0 <= now < t1:
                 self._record_drop(rid, src, dst, now)
                 return True
-        if self.loss is not None and self.loss.one() < self.loss_rate:
+        if self.loss is not None and self.loss() < self.loss_rate:
             self._record_drop(rid, src, dst, now)
             return True
         return False
@@ -421,210 +390,14 @@ class _FaultState:
 
 
 # ----------------------------------------------------------------------
-# the flat-heap faulted loop (engines "fast" and "batch")
-# ----------------------------------------------------------------------
-# Heap tuples are (time, seq, tag, node, src, rid, hops); seq is globally
-# unique, so ordering reduces to the kernel's (time, seq) tie-breaking.
-_CRASH = 0
-_ARRIVE = 1
-_DISPATCH = 2
-
-
-def _run_flat_faulted(
-    graph: Graph,
-    tree: SpanningTree,
-    schedule: RequestSchedule,
-    plan: FaultPlan,
-    *,
-    latency: LatencyModel,
-    seed: int,
-    service_time: float,
-    max_events: int | None,
-    on_event,
-    block_loss: bool,
-) -> tuple[RunResult, FaultReport]:
-    """The fault-aware flat-heap loop (mirrors ``FastArrowEngine``).
-
-    Kernel-parity sequence numbering: initiations own seqs ``0..m-1``,
-    the plan's crash events ``m..m+c-1`` (the message runner schedules
-    them in exactly that order), messages count on from ``m+c``; dropped
-    sends consume no sequence number, no latency draw and no FIFO clamp —
-    the message engine never reaches ``transmit`` for them either.
-    """
-    n = tree.num_nodes
-    root = tree.root
-    parent = list(tree.parent)
-    weight = [0.0] * n
-    for v in range(n):
-        if v != root:
-            weight[v] = graph.weight(v, parent[v])
-
-    rng = spawn_rng(seed, "network-latency")
-    sample = latency.sample
-    det_up = det_down = None
-    if not latency.stochastic:
-        det_up = [
-            sample(v, parent[v], weight[v], rng) if v != root else 0.0
-            for v in range(n)
-        ]
-        det_down = [
-            sample(parent[v], v, weight[v], rng) if v != root else 0.0
-            for v in range(n)
-        ]
-
-    link = parent[:]
-    link[root] = root
-    last_rid = [NO_RID] * n
-    last_rid[root] = ROOT_RID
-    last_delivery = [0.0] * (2 * n)
-    busy_until = [0.0] * n
-    service = service_time
-
-    emit = on_event
-    fs = _FaultState(tree, plan, seed, block_loss=block_loss, emit=emit)
-    down = fs.down
-
-    done: list[tuple[int, int, int, float, int]] = []
-    append = done.append
-
-    init_times = schedule.times
-    init_nodes = schedule.nodes
-    m = len(init_times)
-    heap: list[tuple[float, int, int, int, int, int, int]] = [
-        (t, m + k, _CRASH, v, -1, -1, 0)
-        for k, (v, t) in enumerate(plan.crashes)
-    ]
-    heap.sort()
-    seq = m + len(plan.crashes)
-    limit = float("inf") if max_events is None else max_events
-    i = 0
-    fired = 0
-    messages = 0
-    now = 0.0
-
-    t0_wall = _wall.perf_counter()
-    while True:
-        if i < m and (not heap or init_times[i] <= heap[0][0]):
-            # Initiation of request i; the quiescent-point repair check
-            # runs first, so the request sees a consistent configuration
-            # whenever one is restorable.
-            now = init_times[i]
-            v = init_nodes[i]
-            rid = i
-            i += 1
-            fired += 1
-            if fired > limit:
-                _raise_livelock(max_events)
-            if fs.repair_due():
-                sink, er = fs.repair(link, now)
-                last_rid[sink] = er
-            if down[v]:
-                fs.drop_initiation(rid, v, now)
-                continue
-            if emit is not None:
-                emit("init", rid, v, now)
-            x = link[v]
-            if x == v:
-                if emit is not None:
-                    emit("complete", rid, last_rid[v], v, now, 0)
-                append((rid, last_rid[v], v, now, 0))
-                last_rid[v] = rid
-                continue
-            last_rid[v] = rid
-            link[v] = v
-            dst = x
-            hops = 1
-        elif heap:
-            now, _, tag, v, src, rid, hops = heappop(heap)
-            fired += 1
-            if fired > limit:
-                _raise_livelock(max_events)
-            if tag == _CRASH:
-                fs.crash(v, now)
-                link[v] = v
-                continue
-            if tag == _ARRIVE:
-                if fs.drops_arrival(src, v, rid, now):
-                    continue
-                if service > 0.0:
-                    # Serialise handling at v (Network._arrive).
-                    begin = busy_until[v]
-                    if now > begin:
-                        begin = now
-                    finish = begin + service
-                    busy_until[v] = finish
-                    heappush(heap, (finish, seq, _DISPATCH, v, src, rid, hops))
-                    seq += 1
-                    continue
-            elif fs.drops_arrival(src, v, rid, now):
-                # _DISPATCH: the node crashed while the message waited
-                # for service — it is dropped at the handler, undelivered.
-                continue
-            # Path reversal (ArrowNode.on_message).
-            fs.in_flight -= 1
-            if emit is not None:
-                emit("deliver", rid, v, src, now)
-            x = link[v]
-            link[v] = src
-            if x == v:
-                if emit is not None:
-                    emit("complete", rid, last_rid[v], v, now, hops)
-                append((rid, last_rid[v], v, now, hops))
-                continue
-            dst = x
-            hops += 1
-        else:
-            break
-
-        # One link traversal v -> dst, fault checks first (a dropped send
-        # consumes no seq, no draw, no FIFO clamp — it never transmits).
-        if emit is not None:
-            emit("send", rid, v, dst, now)
-        if fs.drops_send(v, dst, rid, now):
-            continue
-        down_dir = parent[dst] == v
-        if det_up is None:
-            delay = sample(v, dst, weight[dst if down_dir else v], rng)
-        else:
-            delay = det_down[dst] if down_dir else det_up[v]
-        chan = 2 * dst + 1 if down_dir else 2 * v
-        at = now + delay
-        if at < last_delivery[chan]:
-            at = last_delivery[chan]
-        last_delivery[chan] = at
-        heappush(heap, (at, seq, _ARRIVE, dst, v, rid, hops))
-        seq += 1
-        messages += 1
-        fs.in_flight += 1
-
-    if fs.degraded:
-        # End-of-run repair: the heap drained, so the run is quiescent.
-        sink, er = fs.repair(link, now)
-        last_rid[sink] = er
-    wall = _wall.perf_counter() - t0_wall
-
-    result = RunResult.from_rows(schedule, done)
-    result.makespan = now if fired else 0.0
-    result.wall_seconds = wall
-    result.network_stats = {
-        "messages_sent": messages,
-        "link_messages": messages,
-        "routed_messages": 0,
-        "hops_total": messages,
-    }
-    report = fs.finish(link, len(done), m)
-    return result, report
-
-
-# ----------------------------------------------------------------------
 # the message engine: a fault-aware Network
 # ----------------------------------------------------------------------
 class _FaultyNetwork(Network):
     """A :class:`Network` that applies a :class:`_FaultState` to queue traffic.
 
     Drop checks run before any stats/latency/FIFO side effect, so a
-    dropped message is observationally absent — exactly like the flat
-    loop, which never transmits it.
+    dropped message is observationally absent — exactly like the fast
+    engine's general loop, which never transmits it.
     """
 
     def __init__(self, *args, fault_state: _FaultState, **kwargs) -> None:
@@ -681,7 +454,7 @@ def _run_message_faulted(
 ) -> tuple[RunResult, FaultReport]:
     """Genuine message-level run under the fault model."""
     sim = Simulator(max_events=max_events)
-    fs = _FaultState(tree, plan, seed, block_loss=False, emit=on_event)
+    fs = _FaultState(tree, plan, seed, emit=on_event)
     net = _FaultyNetwork(
         graph,
         sim,
@@ -710,7 +483,7 @@ def _run_message_faulted(
 
     def initiate(req_node: int, rid: int) -> None:
         # Quiescent-point repair check, then the down-node gate — the
-        # flat loop runs the identical sequence before each initiation.
+        # fast engine runs the identical sequence before each initiation.
         if fs.repair_due():
             repair_nodes(sim.now)
         if fs.down[req_node]:
@@ -723,7 +496,7 @@ def _run_message_faulted(
         nodes[node].link = node
 
     # Kernel-parity sequence numbering: initiations first (seqs 0..m-1),
-    # then the crash events (m..m+c-1) — the flat loop replays exactly
+    # then the crash events (m..m+c-1) — the fast engine replays exactly
     # these sequence numbers.
     for req in schedule:
         sim.call_at(req.time, initiate, req.node, req.rid)
@@ -762,7 +535,7 @@ def run_arrow_faulted(
     """Run the arrow protocol under a fault plan; results plus recovery report.
 
     Accepts the open-loop model knobs of :func:`repro.core.runner.run_arrow`
-    plus the ``engine`` selector (``"fast"``, ``"batch"``, ``"message"``).
+    plus the ``engine`` selector (``"fast"`` or ``"message"``).
     For the empty plan the returned :class:`RunResult` is bit-identical
     to the fault-free engines' — the run is in fact delegated to the
     selected stock engine, so an empty plan costs nothing beyond one
@@ -778,7 +551,7 @@ def run_arrow_faulted(
     require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
     plan.validate_nodes(graph.num_nodes)
     model = latency if latency is not None else UnitLatency()
-    if plan.empty and engine in ("fast", "batch", "message"):
+    if plan.empty and engine in ("fast", "message"):
         result = arrow_runner(engine)(
             graph,
             tree,
@@ -790,19 +563,14 @@ def run_arrow_faulted(
             on_event=on_event,
         )
         return result, FaultReport()
-    if engine in ("fast", "batch"):
-        return _run_flat_faulted(
-            graph,
-            tree,
-            schedule,
-            plan,
-            latency=model,
-            seed=seed,
-            service_time=float(service_time),
-            max_events=max_events,
-            on_event=on_event,
-            block_loss=engine == "batch",
-        )
+    if engine == "fast":
+        # The general loop even at service_time == 0: the fault hooks stay
+        # out of the service-0 hot loop.
+        fs = _FaultState(tree, plan, seed, emit=on_event)
+        result = FastArrowEngine(
+            graph, tree, latency=model, seed=seed, service_time=service_time
+        )._run(schedule, max_events, on_event, fs)
+        return result, fs.report
     if engine == "message":
         return _run_message_faulted(
             graph,
@@ -815,6 +583,4 @@ def run_arrow_faulted(
             max_events=max_events,
             on_event=on_event,
         )
-    raise ValueError(
-        f"engine must be 'fast', 'message' or 'batch', got {engine!r}"
-    )
+    raise ValueError(f"engine must be 'fast' or 'message', got {engine!r}")

@@ -12,11 +12,19 @@ The paper analyses two communication models:
 A latency model maps ``(src, dst, edge_weight, rng)`` to a delay sample.
 Deterministic models ignore the RNG.  FIFO ordering per directed link is
 enforced by the channel layer, not here.
+
+:func:`link_sampler` is the flat engines' per-send delay source.  For the
+two stochastic models it draws raw samples in blocks of :data:`BLOCK`:
+an array fill of numpy's ``Generator`` consumes the bitstream exactly
+like the same number of scalar calls, so buffered raws replay the scalar
+draw order of :meth:`LatencyModel.sample` (a scalar ``rng.uniform`` call
+costs ~1.5 µs, a buffered raw ~0.1 µs).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -29,7 +37,13 @@ __all__ = [
     "ScaledWeightLatency",
     "UniformLatency",
     "ExponentialCappedLatency",
+    "BLOCK",
+    "block_draws",
+    "link_sampler",
 ]
+
+#: Raw draws per block refill of :func:`block_draws`.
+BLOCK = 4096
 
 
 class LatencyModel(ABC):
@@ -132,3 +146,37 @@ class ExponentialCappedLatency(LatencyModel):
 
     def max_delay(self, weight: float) -> float:  # noqa: D102
         return self.cap * weight
+
+
+def block_draws(fill):
+    """A ``() -> float`` handing out ``fill(BLOCK)``'s raws in order.
+
+    ``fill(size)`` must advance its generator exactly like ``size`` scalar
+    draws of the same distribution (true for numpy's array fills), so the
+    raws are those the scalar calls would have returned.  A new block is
+    drawn only when the previous one is used up.
+    """
+    return chain.from_iterable(
+        fill(BLOCK).tolist() for _ in repeat(None)
+    ).__next__
+
+
+def link_sampler(model: LatencyModel, rng: np.random.Generator):
+    """A ``(src, dst, weight) -> float`` replaying ``model.sample`` on ``rng``.
+
+    Dispatch is on the exact type: the two stochastic models draw their
+    raws through :func:`block_draws` and apply ``sample``'s own transform;
+    any other model, including a subclass that overrides ``sample``, is
+    called per send.
+    """
+    t = type(model)
+    if t is UniformLatency:
+        lo, hi = model.lo, model.hi
+        draw = block_draws(lambda size: rng.uniform(lo, hi, size))
+        return lambda src, dst, w: w * draw()
+    if t is ExponentialCappedLatency:
+        mean, floor, cap = model.mean, model.floor, model.cap
+        draw = block_draws(lambda size: rng.exponential(mean, size))
+        return lambda src, dst, w: w * min(max(draw(), floor), cap)
+    sample = model.sample
+    return lambda src, dst, w: sample(src, dst, w, rng)

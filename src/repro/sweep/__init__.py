@@ -51,7 +51,6 @@ from repro.sweep.spec import (
     CLOSED_LOOP_FAMILIES,
     GRAPH_BUILDERS,
     OPEN_LOOP_SCHEDULES,
-    SCHEDULE_BUILDERS,
     TREE_BUILDERS,
     GraphSpec,
     ScheduleSpec,
@@ -89,7 +88,6 @@ __all__ = [
     "GRAPH_BUILDERS",
     "OPEN_LOOP_SCHEDULES",
     "TREE_BUILDERS",
-    "SCHEDULE_BUILDERS",
     "build_graph",
     "build_tree",
     "build_schedule",

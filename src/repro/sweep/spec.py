@@ -58,7 +58,6 @@ __all__ = [
     "GRAPH_BUILDERS",
     "OPEN_LOOP_SCHEDULES",
     "TREE_BUILDERS",
-    "SCHEDULE_BUILDERS",
     "build_graph",
     "build_tree",
     "build_schedule",
@@ -125,17 +124,6 @@ OPEN_LOOP_SCHEDULES = {
     ),
     "random": frozenset({"count", "per_node", "horizon"}),
 }
-
-#: Historical name -> accepted-params table covering the open- and
-#: closed-loop families.  The cell-family registry
-#: (:mod:`repro.sweep.registry`) is now the source of truth — including
-#: the §5.1 directory and adaptive-pointer families this table predates —
-#: but the dict is kept as a stable import for existing callers.
-SCHEDULE_BUILDERS = {
-    **OPEN_LOOP_SCHEDULES,
-    **CLOSED_LOOP_FAMILIES,
-}
-
 
 def _param_key(params: tuple[tuple[str, object], ...]) -> str:
     return ",".join(f"{k}={v}" for k, v in params)
@@ -259,9 +247,9 @@ class SweepSpec:
     monitors: bool = False
 
     def __post_init__(self) -> None:
-        if self.engine not in ("fast", "message", "batch"):
+        if self.engine not in ("fast", "message"):
             raise SweepError(
-                f"engine must be 'fast', 'message' or 'batch', got {self.engine!r}"
+                f"engine must be 'fast' or 'message', got {self.engine!r}"
             )
         for t in self.trees:
             if t not in TREE_BUILDERS:
@@ -292,7 +280,7 @@ class SweepSpec:
         (as ``/f[<canonical label>]``), so resuming a re-parametrised
         sweep into an old file recomputes rather than silently keeping
         stale rows.  The engine is deliberately *not* part of the identity
-        (all three engines are bit-identical, so rows are interchangeable)
+        (the engines are bit-identical, so rows are interchangeable)
         and neither is ``monitors`` (monitors never change a row).
         """
         st = f"/st{self.service_time}" if self.service_time else ""

@@ -1,13 +1,12 @@
-"""Differential suite: fast and batch closed loops vs the message simulator.
+"""Differential suite: the fast closed loops vs the message simulator.
 
-The fast and batch closed-loop engines' shared contract is
-*bit-identical* output: same makespan, per-request hops, latencies,
-issue/ack times, owners, message totals and tie-breaking — on every
-graph family, spanning-tree strategy, latency model and (think_time,
-service_time, requests_per_proc) point the drivers support, for both the
-arrow and the centralized protocol.  Every instance runs **three ways**
-(message, fast, batch) and asserts all pairs agree.  The suite enforces
-the contract the same three ways as the open-loop differential suite
+The fast closed-loop engine's contract is *bit-identical* output: same
+makespan, per-request hops, latencies, issue/ack times, owners, message
+totals and tie-breaking — on every graph family, spanning-tree strategy,
+latency model and (think_time, service_time, requests_per_proc) point
+the drivers support, for both the arrow and the centralized protocol.
+Every instance runs on both engines and asserts they agree.  The suite
+enforces the contract the same three ways as the open-loop differential suite
 (``test_fast_arrow_differential.py``):
 
 * a seeded cross-product grid (every graph generator × seeds × both
@@ -26,10 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import (
-    closed_loop_arrow_batch,
-    closed_loop_centralized_batch,
-)
 from repro.core.fast_closed_loop import (
     closed_loop_arrow_fast,
     closed_loop_centralized_fast,
@@ -124,26 +119,16 @@ def assert_identical(a, b):
 
 
 def run_both_arrow(g, tree, **kw):
-    """Message vs fast vs batch; the batch result is checked inline.
-
-    Returns the (message, fast) pair for the call sites' own asserts —
-    the batch engine's parity is asserted here so every instance in the
-    suite covers all three engines.
-    """
-    a = closed_loop_arrow(g, tree, **kw)
-    b = closed_loop_arrow_fast(g, tree, **kw)
-    c = closed_loop_arrow_batch(g, tree, **kw)
-    assert_identical(a, c)
-    return a, b
+    """Message vs fast; returns the pair for the call sites' asserts."""
+    return closed_loop_arrow(g, tree, **kw), closed_loop_arrow_fast(g, tree, **kw)
 
 
 def run_both_centralized(g, center, **kw):
-    """Same three-way treatment for the centralized protocol."""
-    a = closed_loop_centralized(g, center, **kw)
-    b = closed_loop_centralized_fast(g, center, **kw)
-    c = closed_loop_centralized_batch(g, center, **kw)
-    assert_identical(a, c)
-    return a, b
+    """The same pair for the centralized protocol."""
+    return (
+        closed_loop_centralized(g, center, **kw),
+        closed_loop_centralized_fast(g, center, **kw),
+    )
 
 
 @pytest.mark.parametrize("gname", sorted(GRAPH_FAMILIES))
@@ -334,6 +319,26 @@ def test_pinned_two_processor_ping_pong():
     assert a.completions == 40
 
 
+@pytest.mark.parametrize(
+    "latency", [UniformLatency(0.1, 1.0), ExponentialCappedLatency()]
+)
+def test_pinned_stochastic_multi_hop_acks_share_one_stream(latency):
+    """Routed multi-hop acks and tree-link sends interleave on one stream.
+
+    On a path every acknowledgement back to a non-adjacent owner is a
+    multi-hop routed send, one latency draw per edge, between the tree
+    links' own draws; parity holds only if both consume one sampler.
+    """
+    g = path_graph(9)
+    tree = bfs_tree(g, 4)
+    kw = dict(requests_per_proc=5, latency=latency, think_time=0.3, seed=8)
+    a, b = run_both_arrow(g, tree, **kw)
+    assert_identical(a, b)
+    assert max(a.hops) >= 2  # some sink sat two or more edges from its owner
+    c, d = run_both_centralized(g, 0, **kw)
+    assert_identical(c, d)
+
+
 def test_pinned_unit_think_ack_queue_collisions():
     """think_time == link latency: re-issues collide with in-flight queues."""
     g = hypercube_graph(3)
@@ -366,11 +371,7 @@ def test_max_events_matches_message_driver():
     # Events: n initial issues + per-message arrivals + think re-issues.
     for limit in (10, 50, 10_000):
         outcomes = []
-        for fn in (
-            closed_loop_arrow,
-            closed_loop_arrow_fast,
-            closed_loop_arrow_batch,
-        ):
+        for fn in (closed_loop_arrow, closed_loop_arrow_fast):
             try:
                 fn(g, tree, max_events=limit, **kw)
                 outcomes.append("ok")
@@ -388,13 +389,10 @@ def test_closed_loop_runner_resolves_and_rejects():
 
     assert closed_loop_runner("arrow", "fast") is closed_loop_arrow_fast
     assert closed_loop_runner("arrow", "message") is msg_arrow
-    assert closed_loop_runner("arrow", "batch") is closed_loop_arrow_batch
     assert closed_loop_runner("centralized", "fast") is closed_loop_centralized_fast
     assert closed_loop_runner("centralized", "message") is msg_central
-    assert (
-        closed_loop_runner("centralized", "batch") is closed_loop_centralized_batch
-    )
-    with pytest.raises(ValueError):
-        closed_loop_runner("arrow", "open")
+    for engine in ("open", "batch"):
+        with pytest.raises(ValueError):
+            closed_loop_runner("arrow", engine)
     with pytest.raises(ValueError):
         closed_loop_runner("ivy", "fast")

@@ -4,7 +4,7 @@ The fault layer's contract has three parts, each tested here:
 
 * the fault-plan mini-language round-trips through its canonical label
   and rejects malformed plans at parse time;
-* all three engines produce *identical* results and recovery reports
+* both engines produce *identical* results and recovery reports
   under the same plan (the bit-identity contract extends to faults), and
   the empty plan is bit-identical to the fault-free engines;
 * recovery metrics for a small crash+loss grid are pinned to exact
@@ -15,20 +15,23 @@ The fault layer's contract has three parts, each tested here:
 
 import pytest
 
+import repro.net.latency as latency_mod
 from repro.core.fast_arrow import run_arrow_fast
 from repro.errors import FaultPlanError, ProtocolError, SweepError
 from repro.faults import (
-    FaultPlan,
+    _FaultState,
     epoch_rid,
     parse_fault_plan,
     run_arrow_faulted,
 )
-from repro.graphs import complete_graph, path_graph
+from repro.graphs import complete_graph, grid_graph, path_graph
 from repro.monitors import ArrowMonitor
+from repro.net.latency import UniformLatency
+from repro.sim.rng import spawn_rng
 from repro.spanning import bfs_tree
 from repro.workloads.schedules import poisson
 
-ENGINES = ("fast", "batch", "message")
+ENGINES = ("fast", "message")
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +130,7 @@ def test_empty_plan_is_bit_identical_to_fault_free_engine():
     "plan", ["crash@2.5:2", "loss:0.04", "crash@2.5:2,loss:0.04"]
 )
 def test_three_engines_agree_under_faults(plan):
+    """Fast and message engines: same completions, makespan and report."""
     graph = complete_graph(8)
     tree = bfs_tree(graph, 0)
     schedule = poisson(8, 40, 4.0, seed=3)
@@ -139,7 +143,44 @@ def test_three_engines_agree_under_faults(plan):
         )
         monitor.finalize(expected=len(schedule))
         outcomes.append((result.completions, result.makespan, report))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize(
+    "plan",
+    ["crash@5:3", "loss:0.02", "link@0-1:2-6", "crash@5:3,loss:0.02"],
+)
+@pytest.mark.parametrize("service_time", [0.0, 0.1])
+def test_engines_agree_under_faults_on_a_grid(plan, service_time):
+    """Multi-hop paths, stochastic latency, and the zero-service general loop."""
+    graph = grid_graph(6, 6)
+    tree = bfs_tree(graph, 0)
+    schedule = poisson(36, 150, 12.0, seed=4)
+    outcomes = []
+    for engine in ENGINES:
+        monitor = ArrowMonitor(tree, deep=True)
+        result, report = run_arrow_faulted(
+            graph, tree, schedule, plan, engine=engine, seed=2,
+            latency=UniformLatency(0.2, 1.0), service_time=service_time,
+            on_event=monitor,
+        )
+        monitor.finalize(expected=len(schedule))
+        outcomes.append(
+            (result.completions, result.makespan, result.network_stats, report)
+        )
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][3].repairs_run >= 1  # the plan really degraded the run
+
+
+def test_block_loss_stream_replays_scalar_draws(monkeypatch):
+    """Loss draws come in blocks, equal to scalar ``Generator.random`` calls."""
+    monkeypatch.setattr(latency_mod, "BLOCK", 7)
+    tree = bfs_tree(path_graph(4), 0)
+    fs = _FaultState(tree, parse_fault_plan("loss:0.5"), 11, emit=None)
+    scalar = spawn_rng(11, "fault-loss")
+    assert [fs.loss() for _ in range(30)] == [
+        float(scalar.random()) for _ in range(30)
+    ]
 
 
 def test_conservation_every_request_completed_or_lost():

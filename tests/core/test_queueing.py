@@ -175,7 +175,7 @@ def columnar_summaries(result):
 
 
 @pytest.mark.parametrize("service_time", [0.0, 0.1])
-@pytest.mark.parametrize("runner", ["fast", "message", "batch"])
+@pytest.mark.parametrize("runner", ["fast", "message"])
 def test_summaries_match_historical_formulas(runner, service_time):
     graph = complete_graph(24)
     tree = bfs_tree(graph, 0)

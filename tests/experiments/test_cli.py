@@ -101,24 +101,38 @@ def test_sweep_command_rejects_fig11_flags_on_other_grids(tmp_path):
               "--out", str(tmp_path / "x.jsonl")])
 
 
-def test_sweep_command_batch_engine_rows_match_fast(tmp_path):
+def test_sweep_command_message_engine_rows_match_fast(tmp_path):
     fast = tmp_path / "fast.jsonl"
-    bat = tmp_path / "batch.jsonl"
+    msg = tmp_path / "message.jsonl"
     base = ["sweep", "--grid", "smoke", "--out"]
     assert main(base + [str(fast), "--engine", "fast"]) == 0
-    assert main(base + [str(bat), "--engine", "batch", "--workers", "2"]) == 0
+    assert main(base + [str(msg), "--engine", "message", "--workers", "2"]) == 0
     f_docs = [json.loads(line) for line in fast.read_text().strip().split("\n")]
-    b_docs = [json.loads(line) for line in bat.read_text().strip().split("\n")]
-    for f, b in zip(f_docs, b_docs):
+    m_docs = [json.loads(line) for line in msg.read_text().strip().split("\n")]
+    assert len(f_docs) == len(m_docs) == 4
+    for f, m in zip(f_docs, m_docs):
         assert f.pop("engine") == "fast"
-        assert b.pop("engine") == "batch"
-        assert f == b
+        assert m.pop("engine") == "message"
+        assert f == m
 
 
-def test_fig10_batch_engine_command(capsys):
-    assert main(["fig10", "--procs", "2,6", "--requests-per-proc", "10",
-                 "--engine", "batch"]) == 0
-    assert "centralized" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--grid", "smoke"],
+        ["fig10", "--procs", "2,6", "--requests-per-proc", "10"],
+        ["fig11", "--procs", "2,6", "--requests-per-proc", "10"],
+        ["fig9"],
+        ["thm321"],
+    ],
+)
+def test_engine_batch_is_rejected(argv, tmp_path, monkeypatch, capsys):
+    """Two engines remain: ``--engine batch`` is a usage error (exit 2)."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--engine", "batch"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'batch'" in capsys.readouterr().err
 
 
 def test_sweep_verify_accepts_identical_files(tmp_path, capsys):
@@ -126,7 +140,7 @@ def test_sweep_verify_accepts_identical_files(tmp_path, capsys):
     b = tmp_path / "b.jsonl"
     assert main(["sweep", "--grid", "smoke", "--engine", "fast",
                  "--out", str(a)]) == 0
-    assert main(["sweep", "--grid", "smoke", "--engine", "batch",
+    assert main(["sweep", "--grid", "smoke", "--engine", "message",
                  "--out", str(b)]) == 0
     capsys.readouterr()
     assert main(["sweep-verify", "--a", str(a), "--b", str(b),

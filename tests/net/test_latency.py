@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.net.latency as latency_mod
 from repro.errors import NetworkError
 from repro.net.latency import (
     ExponentialCappedLatency,
@@ -9,6 +10,8 @@ from repro.net.latency import (
     UniformLatency,
     UnitLatency,
     WeightLatency,
+    block_draws,
+    link_sampler,
 )
 from repro.sim.rng import spawn_rng
 
@@ -76,3 +79,49 @@ def test_stochastic_models_respect_normalised_max_delay(rng):
     for model in (UniformLatency(0.1, 1.0), ExponentialCappedLatency()):
         for _ in range(200):
             assert model.sample(0, 1, 1.0, rng) <= model.max_delay(1.0) + 1e-12
+
+
+class _OffsetUniform(UniformLatency):
+    """A subclass overriding ``sample``: the sampler must call it per send."""
+
+    def sample(self, src, dst, weight, rng):
+        return super().sample(src, dst, weight, rng) + src
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        UniformLatency(0.2, 1.0),
+        ExponentialCappedLatency(),
+        ExponentialCappedLatency(mean=0.5, cap=0.6, floor=0.2),
+        _OffsetUniform(0.1, 0.9),
+        ScaledWeightLatency(1.5),
+    ],
+)
+def test_link_sampler_replays_scalar_draws_across_refills(model, monkeypatch):
+    """Block draws equal scalar ``sample`` draws, across small-block refills."""
+    monkeypatch.setattr(latency_mod, "BLOCK", 5)
+    scalar = spawn_rng(9, "network-latency")
+    draw = link_sampler(model, spawn_rng(9, "network-latency"))
+    sends = [(k % 4, (k + 1) % 4, 0.5 + (k % 3)) for k in range(23)]
+    got = [draw(s, d, w) for s, d, w in sends]
+    assert got == [model.sample(s, d, w, scalar) for s, d, w in sends]
+    assert all(type(x) is float for x in got)
+
+
+def test_block_draws_are_lazy_and_in_order(monkeypatch):
+    """A block is drawn only when the previous one is used up."""
+    monkeypatch.setattr(latency_mod, "BLOCK", 4)
+    sizes = []
+
+    def fill(size):
+        sizes.append(size)
+        return rng.random(size)
+
+    rng = spawn_rng(2, "fault-loss")
+    scalar = spawn_rng(2, "fault-loss")
+    draw = block_draws(fill)
+    assert sizes == []
+    got = [draw() for _ in range(9)]
+    assert sizes == [4, 4, 4]
+    assert got == [float(scalar.random()) for _ in range(9)]

@@ -172,6 +172,35 @@ def test_arrow_runner_rejects_unknown_engine():
             arrow_runner(bad)
 
 
+def test_sweep_spec_rejects_batch_engine():
+    """Two engines remain; a new spec cannot name the removed one."""
+    assert smoke_grid(engine="message").engine == "message"
+    with pytest.raises(SweepError):
+        smoke_grid(engine="batch")
+
+
+def test_rows_labelled_batch_stay_readable(tmp_path):
+    """Result files whose engine column says batch verify, resume and ingest."""
+    from repro.results import ResultsStore
+    from repro.sweep import diff_rows, dumps_row, iter_rows, run_sweep
+
+    spec = smoke_grid()
+    fast = tmp_path / "fast.jsonl"
+    run_sweep(spec, str(fast), resume=False)
+    old = tmp_path / "old.jsonl"
+    old.write_text(
+        "".join(
+            dumps_row({**row, "engine": "batch"}) + "\n"
+            for row in iter_rows(str(fast))
+        )
+    )
+    assert diff_rows(str(fast), str(old), expect_cells=4) == (4, [])
+    assert run_sweep(spec, str(old))["skipped"] == 4  # resume reads them
+    store = ResultsStore(str(tmp_path / "store"))
+    assert store.ingest(spec, str(old)).new_rows == 4
+    assert [row["engine"] for row in store.rows("smoke")] == ["batch"] * 4
+
+
 def test_named_grids_expand():
     assert fig11_grid((8, 16), seeds=(0,)).num_cells() == 2
     assert smoke_grid().num_cells() == 4
