@@ -17,14 +17,18 @@ push (``benchmarks/check_regression.py`` against
 * ``one_shot_storm`` — 20k simultaneous requests on a binary tree.
 
 Each scenario times the two engines in interleaved repeats and keeps the
-minimum of each (``benchmarks/engine_timing.py``).  Floor: locally
-``open_loop_unit`` must clear 5x; ``REPRO_BENCH_RELAXED`` (shared CI
-runners) lowers it to 2x.  Every ratio is archived either way.
+minimum of each (``benchmarks/engine_timing.py``).  ``open_loop_unit``
+is timed once per module and shared by two tests:
+``test_fast_engine_speedup_on_10k_requests`` holds it to the floor (5x
+locally; ``REPRO_BENCH_RELAXED``, for shared CI runners, lowers it to
+2x), and ``test_fast_engine_speedup_archive`` times the other three and
+writes all four.  Every ratio is archived either way.
 """
 
 import json
 import os
 
+import pytest
 from engine_timing import interleaved_min, speedup_row
 
 from repro.core.fast_arrow import run_arrow_fast
@@ -70,21 +74,46 @@ def _open_loop_scenario(g, tree, sched, repeats, **kw):
     )
 
 
-def test_fast_engine_speedup_on_10k_requests(benchmark):
-    """Measure all four scenarios, enforce the floor, write BENCH_engine.json."""
-    archive = {}
+@pytest.fixture(scope="module")
+def complete64():
     g = complete_graph(64)
-    tree = balanced_binary_overlay(g, 0)
+    return g, balanced_binary_overlay(g, 0)
 
-    # --- open loop, unit latency (the floor scenario) -----------------
+
+@pytest.fixture(scope="module")
+def open_loop_unit(complete64):
+    """The 10k unit-latency scenario, timed once for the floor and the archive."""
+    g, tree = complete64
+    return _open_loop_scenario(
+        g, tree, poisson(64, REQUESTS, rate=50.0, seed=1), repeats=7
+    )
+
+
+def test_fast_engine_speedup_on_10k_requests(benchmark, complete64, open_loop_unit):
+    """Enforce the floor on ``open_loop_unit``."""
+    g, tree = complete64
     sched = poisson(64, REQUESTS, rate=50.0, seed=1)
     benchmark(lambda: run_arrow_fast(g, tree, sched))
-    archive["open_loop_unit"] = _open_loop_scenario(g, tree, sched, repeats=7)
+    speedup = open_loop_unit["speedup"]
+    benchmark.extra_info["speedup_vs_message"] = speedup
+    # Local runs clear 5x with ~2x headroom (typically ~10x); shared CI
+    # runners get a relaxed floor so timing noise cannot fail the build
+    # (the measured ratios are archived either way).
+    floor = 2.0 if os.environ.get("REPRO_BENCH_RELAXED") else 5.0
+    assert speedup >= floor, f"fast engine only {speedup:.1f}x faster"
+
+
+def test_fast_engine_speedup_archive(benchmark, complete64, open_loop_unit):
+    """Measure the other three scenarios, write all four to BENCH_engine.json."""
+    archive = {"open_loop_unit": open_loop_unit}
+    g, tree = complete64
 
     # --- open loop, stochastic latency (the block-draw regime) --------
     sched_u = poisson(64, OPEN_REQUESTS, rate=50.0, seed=1)
+    lat = UniformLatency(0.2, 1.0)
+    benchmark(lambda: run_arrow_fast(g, tree, sched_u, latency=lat, seed=1))
     archive["open_loop_uniform"] = _open_loop_scenario(
-        g, tree, sched_u, repeats=7, latency=UniformLatency(0.2, 1.0), seed=1
+        g, tree, sched_u, repeats=7, latency=lat, seed=1
     )
 
     # --- closed loop, stochastic latency ------------------------------
@@ -125,13 +154,6 @@ def test_fast_engine_speedup_on_10k_requests(benchmark):
             f"speedup {row['speedup']:.2f}x (cpu {row['cpu_speedup']:.2f}x) "
             f"over {row['requests']} requests"
         )
-
-    # Local runs clear 5x with ~2x headroom (typically ~10x); shared CI
-    # runners get a relaxed floor so timing noise cannot fail the build
-    # (the measured ratios are archived either way).
-    floor = 2.0 if os.environ.get("REPRO_BENCH_RELAXED") else 5.0
-    speedup = archive["open_loop_unit"]["speedup"]
-    assert speedup >= floor, f"fast engine only {speedup:.1f}x faster"
 
 
 def test_fast_engine_throughput_hop_heavy(benchmark):
