@@ -3,8 +3,8 @@
 Times the fast engine against the message-level oracle on four
 ≥10k-request scenarios, verifies bit-identity first, and archives every
 measured ratio to ``BENCH_engine.json`` so CI gates the trajectory per
-push (``benchmarks/check_regression.py`` against
-``benchmarks/bench_baseline.json``):
+push (``repro-arrow results compare --baseline
+benchmarks/bench_baseline.json --fresh BENCH_engine.json``):
 
 * ``open_loop_unit`` — 10k Poisson requests, unit latency, complete
   graph, balanced binary overlay (the ``test_sim_throughput`` workload);

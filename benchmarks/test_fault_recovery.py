@@ -18,7 +18,8 @@ Regenerates ``BENCH_faults.json`` from real runs (gitignored like every
   engines at parity).
 
 Floors: the empty-plan ratio — the median over 15 interleaved pairs of
-runs, each pair timed back to back — must stay under 1.05 locally;
+runs, each pair timed back to back — must stay under 1.05 locally (the
+monitor overhead, interleaved min-of-3, is archived, not gated);
 ``REPRO_BENCH_RELAXED`` (shared CI runners) drops the wall-clock floors
 but still archives every measured ratio.  The recovery *metrics* are
 exact deterministic values either way — they are also pinned at small
@@ -27,8 +28,8 @@ scale by ``tests/core/test_faults.py``.
 
 import json
 import os
-import statistics
-import time
+
+from engine_timing import interleaved_min, paired_ratio
 
 from repro.core.fast_arrow import run_arrow_fast
 from repro.core.fast_closed_loop import closed_loop_arrow_fast
@@ -44,38 +45,6 @@ N = 32
 REQUESTS = 3200
 CRASH_PLAN = "crash@40.0:5,crash@200.0:11"
 LOSS_PLAN = "loss:0.01"
-
-
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _paired_ratio(base, subject, repeats):
-    """Median over interleaved pairs of ``subject`` time / ``base`` time.
-
-    Each pair times the two back to back, alternating which goes first,
-    so a slow phase of a shared host lands in both halves of a pair and
-    cancels in its ratio; the median drops the pairs it split.  Returns
-    ``(ratio, base_min_s, subject_min_s)``.
-    """
-    ratios = []
-    base_s = subject_s = float("inf")
-    pair = ((0, base), (1, subject))
-    for k in range(repeats):
-        timed = [0.0, 0.0]
-        for i, fn in pair if k % 2 == 0 else pair[::-1]:
-            t0 = time.perf_counter()
-            fn()
-            timed[i] = time.perf_counter() - t0
-        ratios.append(timed[1] / timed[0])
-        base_s = min(base_s, timed[0])
-        subject_s = min(subject_s, timed[1])
-    return statistics.median(ratios), base_s, subject_s
 
 
 def test_fault_recovery_archive(benchmark):
@@ -118,7 +87,7 @@ def test_fault_recovery_archive(benchmark):
     )
     assert faulted.completions == plain.completions  # bit-identity first
     assert faulted.makespan == plain.makespan
-    ratio, plain_s, faulted_s = _paired_ratio(
+    ratio, plain_s, faulted_s = paired_ratio(
         lambda: run_arrow_fast(graph, tree, schedule, seed=1, service_time=0.1),
         lambda: run_arrow_faulted(
             graph, tree, schedule, "", seed=1, service_time=0.1
@@ -141,13 +110,16 @@ def test_fault_recovery_archive(benchmark):
     watched = closed_loop_arrow_fast(graph, tree, on_event=monitor, **kw)
     monitor.finalize(expected=watched.total_requests)
     assert watched == bare  # ClosedLoopResult eq excludes wall clock
-    off_s = _best_of(lambda: closed_loop_arrow_fast(graph, tree, **kw))
 
     def monitored():
         m = ArrowMonitor(tree)
         closed_loop_arrow_fast(graph, tree, on_event=m, **kw)
 
-    on_s = _best_of(monitored)
+    timings = interleaved_min(
+        {"off": lambda: closed_loop_arrow_fast(graph, tree, **kw), "on": monitored},
+        repeats=3,
+    )
+    off_s, on_s = timings["off"][0], timings["on"][0]
     archive["monitor_overhead"] = {
         "requests": N * 100,
         "monitors_off_seconds": off_s,

@@ -72,7 +72,7 @@ def measure_competitive_ratio(
 
     With ``simulate`` the arrow cost comes from a simulator run — the
     message-level ground truth or, with ``engine="fast"``, the
-    bit-identical :class:`~repro.core.fast_arrow.FastArrowEngine`
+    bit-identical :func:`~repro.core.fast_arrow.run_arrow_fast`
     (required for asynchronous latency models either way); otherwise
     from the fast NN executor (synchronous model only — a
     :class:`AnalysisError` is raised if a latency model is supplied).

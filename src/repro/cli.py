@@ -315,6 +315,9 @@ def _results_command(args, ingest_error, compare_error) -> int:
                 if args.baseline is None or args.fresh is None:
                     compare_error("bench mode needs both --baseline and "
                                   "--fresh")
+                if not 0.0 <= args.tolerance < 1.0:
+                    compare_error("--tolerance must be in [0, 1), got "
+                                  f"{args.tolerance}")
                 with open(args.baseline, "r", encoding="utf-8") as fh:
                     baseline = json.load(fh)
                 with open(args.fresh, "r", encoding="utf-8") as fh:
@@ -548,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     prc = rsub.add_parser(
         "compare",
         help="diff two runs per cell (row mode) or gate a benchmark "
-             "trajectory (bench mode, subsuming check_regression)",
+             "trajectory (bench mode, the CI speedup gate)",
     )
     prc.add_argument("--store", default="results", metavar="DIR")
     prc.add_argument("--a", default=None,
@@ -564,8 +567,8 @@ def main(argv: list[str] | None = None) -> int:
     prc.add_argument("--fresh", default=None,
                      help="bench mode: fresh BENCH json")
     prc.add_argument("--tolerance", type=float, default=0.25,
-                     help="bench mode: allowed fractional speedup drop "
-                          "(default: 0.25)")
+                     help="bench mode: allowed fractional speedup drop, "
+                          "in [0, 1) (default: 0.25)")
     prc.add_argument("--out", default=None, metavar="PATH",
                      help="also write the canonical BENCH_results.json "
                           "trajectory document here")

@@ -1,7 +1,7 @@
 """Fast-path arrow engine: ``run_arrow`` semantics without the message layer.
 
-:class:`FastArrowEngine` executes open-loop arrow runs on a precomputed
-tree adjacency with a flat binary heap over ``(time, seq)`` tuples and
+:func:`run_arrow_fast` executes open-loop arrow runs on the tree's
+parent pointers with a flat binary heap over ``(time, seq)`` tuples and
 plain int/float array node state (``link``, ``last_rid``) — no
 :class:`~repro.net.message.Message` objects, no per-event
 :class:`~repro.sim.events.Event` dataclasses, no
@@ -27,10 +27,9 @@ arithmetically, and stochastic latency models draw from the same
 :class:`~repro.net.network.Network` would (through
 :func:`~repro.net.latency.link_sampler`'s block draws).
 
-The open-loop hot loop exists twice: :meth:`FastArrowEngine._drain` for
-the fault-free ``service_time == 0`` model, and the general loop
-:meth:`FastArrowEngine._drain_with_service`, which adds per-node service
-and carries the fault hooks :func:`repro.faults.run_arrow_faulted` uses.
+One event loop, :func:`_drain`, runs every open-loop fast run: with or
+without per-node service time, fault-free or under the fault hooks that
+:func:`repro.faults.run_arrow_faulted` passes in.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from repro.net.latency import LatencyModel, UnitLatency, link_sampler
 from repro.sim.rng import spawn_rng
 from repro.spanning.tree import SpanningTree
 
-__all__ = ["FastArrowEngine", "arrow_runner", "run_arrow_fast"]
+__all__ = ["arrow_runner", "run_arrow_fast"]
 
 
 def arrow_runner(engine: str):
@@ -105,388 +104,10 @@ def _tree_links(
     return parent, weight, up, down
 
 
-# Event type tags inside the general loop's heap tuples.
+# Event type tags inside the loop's heap tuples.
 _CRASH = 0
 _ARRIVE = 1
 _DISPATCH = 2
-
-
-class FastArrowEngine:
-    """Reusable fast executor for arrow runs on one ``(graph, tree)`` pair.
-
-    Precomputes the tree adjacency (parent pointers), the per-link delays
-    of deterministic latency models and the initial pointer configuration;
-    :meth:`run` then replays a schedule with per-run mutable state only.
-
-    Parameters mirror the :func:`~repro.core.runner.run_arrow` knobs it
-    supports; features that are inherently message-level (``notify_origin``
-    acknowledgement traffic, tracing) are not available here — use the
-    message simulator for those.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        tree: SpanningTree,
-        *,
-        latency: LatencyModel | None = None,
-        seed: int = 0,
-        service_time: float = 0.0,
-    ) -> None:
-        if service_time < 0:
-            raise NetworkError(f"service_time must be >= 0, got {service_time}")
-        require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
-        self.graph = graph
-        self.tree = tree
-        self.latency = latency if latency is not None else UnitLatency()
-        self.seed = seed
-        self.service_time = float(service_time)
-
-        self._n = tree.num_nodes
-        self._root = tree.root
-        self._parent, self._weight, self._det_up, self._det_down = _tree_links(
-            graph, tree, self.latency, seed
-        )
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        schedule: RequestSchedule,
-        *,
-        max_events: int | None = None,
-        on_event=None,
-    ) -> RunResult:
-        """Execute one schedule; returns a ``run_arrow``-identical result.
-
-        ``on_event``, when set, receives the protocol trace in the same
-        order the message engine emits it (see :mod:`repro.monitors`);
-        ``None`` (the default) keeps the hot loops emission-free.
-        """
-        return self._run(schedule, max_events, on_event, None)
-
-    def _run(
-        self,
-        schedule: RequestSchedule,
-        max_events: int | None,
-        on_event,
-        fs,
-    ) -> RunResult:
-        """:meth:`run`, optionally under a :class:`repro.faults._FaultState`.
-
-        A faulted run always takes the general loop and closes with
-        ``fs.finish``, which fills in ``fs.report``.
-        """
-        schedule.validate_nodes(self._n)
-
-        n = self._n
-        root = self._root
-
-        # Protocol state (ArrowNode.init_pointers, flattened).
-        link = self._parent[:]
-        link[root] = root
-        last_rid = [NO_RID] * n
-        last_rid[root] = ROOT_RID
-
-        # FIFO clamp per directed tree link: 2v = v -> parent[v],
-        # 2v + 1 = parent[v] -> v (FifoChannel._last_delivery, flattened).
-        last_delivery = [0.0] * (2 * n)
-
-        # Initiation events stay out of the heap: the schedule is already
-        # in canonical (time, rid) order, which is exactly the kernel's
-        # (time, seq) order for them, and every in-flight message event
-        # carries a larger sequence number than every initiation (the
-        # runner schedules all initiations before the first send), so on
-        # a time tie the initiation always fires first.
-        init_times = schedule.times
-        init_nodes = schedule.nodes
-
-        # Raw completion rows (rid, pred, node, time, hops), handed to the
-        # result's columns once, after the hot loop.
-        done: list[tuple[int, int, int, float, int]] = []
-
-        t0 = _wall.perf_counter()
-        if fs is None and self.service_time == 0.0:
-            now, fired, messages = self._drain(
-                init_times, init_nodes, link, last_rid, last_delivery,
-                done, max_events, on_event,
-            )
-        else:
-            now, fired, messages = self._drain_with_service(
-                init_times, init_nodes, link, last_rid, last_delivery,
-                done, max_events, on_event, fs,
-            )
-        wall = _wall.perf_counter() - t0
-
-        result = RunResult.from_rows(schedule, done)
-        result.makespan = now if fired else 0.0
-        result.wall_seconds = wall
-        result.network_stats = {
-            "messages_sent": messages,
-            "link_messages": messages,
-            "routed_messages": 0,
-            "hops_total": messages,
-        }
-        if fs is not None:
-            fs.finish(link, len(done), len(schedule))
-        elif len(done) != len(schedule):
-            raise ProtocolError(
-                f"arrow run completed {len(done)} of "
-                f"{len(schedule)} requests"
-            )
-        return result
-
-    def _delay_source(self):
-        """This run's per-send sampler; ``None`` for deterministic models."""
-        if self._det_up is not None:
-            return None
-        return link_sampler(self.latency, spawn_rng(self.seed, "network-latency"))
-
-    # ------------------------------------------------------------------
-    def _drain(
-        self,
-        init_times: list[float],
-        init_nodes: list[int],
-        link: list[int],
-        last_rid: list[int],
-        last_delivery: list[float],
-        done: list[tuple[int, int, int, float, int]],
-        max_events: int | None,
-        emit=None,
-    ) -> tuple[float, int, int]:
-        """Hot loop for ``service_time == 0`` (the §3.1 analysis model)."""
-        parent = self._parent
-        weight = self._weight
-        det_up = self._det_up
-        det_down = self._det_down
-        draw = self._delay_source()
-        append = done.append
-        push, pop = heappush, heappop
-
-        # In-flight message events: (time, seq, dst, src, rid, hops).
-        limit = float("inf") if max_events is None else max_events
-        heap: list[tuple[float, int, int, int, int, int]] = []
-        m = len(init_times)
-        seq = m  # kernel parity: initiations consumed seqs 0..m-1
-        i = 0
-        fired = 0
-        messages = 0
-        now = 0.0
-
-        while True:
-            if i < m and (not heap or init_times[i] <= heap[0][0]):
-                # Initiation of request i (ArrowNode.initiate).
-                now = init_times[i]
-                v = init_nodes[i]
-                rid = i
-                i += 1
-                fired += 1
-                if fired > limit:
-                    _raise_livelock(max_events)
-                if emit is not None:
-                    emit("init", rid, v, now)
-                x = link[v]
-                if x == v:
-                    # Local find: queued behind v's previous request.
-                    if emit is not None:
-                        emit("complete", rid, last_rid[v], v, now, 0)
-                    append((rid, last_rid[v], v, now, 0))
-                    last_rid[v] = rid
-                    continue
-                last_rid[v] = rid
-                link[v] = v
-                dst = x
-                hops = 1
-            elif heap:
-                now, _, v, src, rid, hops = pop(heap)
-                fired += 1
-                if fired > limit:
-                    _raise_livelock(max_events)
-                # Path reversal (ArrowNode.on_message).
-                if emit is not None:
-                    emit("deliver", rid, v, src, now)
-                x = link[v]
-                link[v] = src
-                if x == v:
-                    if emit is not None:
-                        emit("complete", rid, last_rid[v], v, now, hops)
-                    append((rid, last_rid[v], v, now, hops))
-                    continue
-                dst = x
-                hops += 1
-            else:
-                break
-
-            # One link traversal v -> dst (send_link / forward + FifoChannel).
-            if emit is not None:
-                emit("send", rid, v, dst, now)
-            down = parent[dst] == v
-            if det_up is None:
-                delay = draw(v, dst, weight[dst if down else v])
-            else:
-                delay = det_down[dst] if down else det_up[v]
-            chan = 2 * dst + 1 if down else 2 * v
-            at = now + delay
-            if at < last_delivery[chan]:
-                at = last_delivery[chan]
-            last_delivery[chan] = at
-            push(heap, (at, seq, dst, v, rid, hops))
-            seq += 1
-            messages += 1
-        return now, fired, messages
-
-    # ------------------------------------------------------------------
-    def _drain_with_service(
-        self,
-        init_times: list[float],
-        init_nodes: list[int],
-        link: list[int],
-        last_rid: list[int],
-        last_delivery: list[float],
-        done: list[tuple[int, int, int, float, int]],
-        max_events: int | None,
-        emit,
-        fs,
-    ) -> tuple[float, int, int]:
-        """General loop: per-node sequential service (Fig. 10) and faults.
-
-        ``fs`` is ``None`` or the run's :class:`repro.faults._FaultState`;
-        every fault hook sits under one ``fs is not None`` test per site.
-        Kernel-parity sequence numbering: initiations own seqs
-        ``0..m-1``, the plan's crash events ``m..m+c-1`` (the message
-        runner schedules them in exactly that order), messages count on
-        from ``m+c``.  A dropped send consumes no sequence number, no
-        latency draw and no FIFO clamp: the message engine never reaches
-        ``transmit`` for it either.
-        """
-        parent = self._parent
-        weight = self._weight
-        det_up = self._det_up
-        det_down = self._det_down
-        draw = self._delay_source()
-        service = self.service_time
-        busy_until = [0.0] * self._n  # Network._busy_until
-        append = done.append
-
-        # (time, seq, tag, node, src, rid, hops) with explicit event tags:
-        # arrivals go through the service stage, dispatches do the work.
-        # Without service time (faulted runs only) a message is handled
-        # the moment it arrives, so sends are tagged as dispatches.
-        arrive = _ARRIVE if service > 0.0 else _DISPATCH
-        limit = float("inf") if max_events is None else max_events
-        m = len(init_times)
-        heap: list[tuple[float, int, int, int, int, int, int]] = []
-        if fs is not None:
-            down_nodes = fs.down
-            heap = [
-                (t, m + k, _CRASH, v, -1, -1, 0)
-                for k, (v, t) in enumerate(fs.crashes)
-            ]
-            heap.sort()
-        seq = m + len(heap)
-        i = 0
-        fired = 0
-        messages = 0
-        now = 0.0
-
-        while True:
-            if i < m and (not heap or init_times[i] <= heap[0][0]):
-                now = init_times[i]
-                v = init_nodes[i]
-                rid = i
-                i += 1
-                fired += 1
-                if fired > limit:
-                    _raise_livelock(max_events)
-                if fs is not None:
-                    # Quiescent-point repair first, so the request sees a
-                    # consistent configuration whenever one is restorable.
-                    if fs.repair_due():
-                        sink, er = fs.repair(link, now)
-                        last_rid[sink] = er
-                    if down_nodes[v]:
-                        fs.drop_initiation(rid, v, now)
-                        continue
-                if emit is not None:
-                    emit("init", rid, v, now)
-                x = link[v]
-                if x == v:
-                    if emit is not None:
-                        emit("complete", rid, last_rid[v], v, now, 0)
-                    append((rid, last_rid[v], v, now, 0))
-                    last_rid[v] = rid
-                    continue
-                last_rid[v] = rid
-                link[v] = v
-                dst = x
-                hops = 1
-            elif heap:
-                now, _, tag, v, src, rid, hops = heappop(heap)
-                fired += 1
-                if fired > limit:
-                    _raise_livelock(max_events)
-                if tag == _ARRIVE:
-                    if fs is not None and fs.drops_arrival(src, v, rid, now):
-                        continue
-                    # Serialise handling at v (Network._arrive): the
-                    # path-reversal step runs as its own dispatch event.
-                    begin = busy_until[v]
-                    if now > begin:
-                        begin = now
-                    finish = begin + service
-                    busy_until[v] = finish
-                    heappush(heap, (finish, seq, _DISPATCH, v, src, rid, hops))
-                    seq += 1
-                    continue
-                if fs is not None:
-                    if tag == _CRASH:
-                        fs.crash(v, now)
-                        link[v] = v
-                        continue
-                    if fs.drops_arrival(src, v, rid, now):
-                        # A down node drops the message undelivered (with
-                        # service time: it crashed while the message waited).
-                        continue
-                    fs.in_flight -= 1
-                # Path reversal (ArrowNode.on_message).
-                if emit is not None:
-                    emit("deliver", rid, v, src, now)
-                x = link[v]
-                link[v] = src
-                if x == v:
-                    if emit is not None:
-                        emit("complete", rid, last_rid[v], v, now, hops)
-                    append((rid, last_rid[v], v, now, hops))
-                    continue
-                dst = x
-                hops += 1
-            else:
-                break
-
-            if emit is not None:
-                emit("send", rid, v, dst, now)
-            if fs is not None:
-                if fs.drops_send(v, dst, rid, now):
-                    continue
-                fs.in_flight += 1
-            down = parent[dst] == v
-            if det_up is None:
-                delay = draw(v, dst, weight[dst if down else v])
-            else:
-                delay = det_down[dst] if down else det_up[v]
-            chan = 2 * dst + 1 if down else 2 * v
-            at = now + delay
-            if at < last_delivery[chan]:
-                at = last_delivery[chan]
-            last_delivery[chan] = at
-            heappush(heap, (at, seq, arrive, dst, v, rid, hops))
-            seq += 1
-            messages += 1
-
-        if fs is not None and fs.degraded:
-            # End-of-run repair: the heap drained, so the run is quiescent.
-            sink, er = fs.repair(link, now)
-            last_rid[sink] = er
-        return now, fired, messages
 
 
 def run_arrow_fast(
@@ -503,10 +124,258 @@ def run_arrow_fast(
     """Drop-in fast replacement for the supported ``run_arrow`` subset.
 
     Accepts the same model knobs as :func:`repro.core.runner.run_arrow`
-    except ``notify_origin`` and ``tracer`` (message-level features); the
-    returned result is bit-identical to the message simulator's.
+    except ``notify_origin`` and ``tracer`` (message-level features: use
+    the message simulator for those); the returned result is
+    bit-identical to the message simulator's.  ``on_event``, when set,
+    receives the protocol trace in the same order the message engine
+    emits it (see :mod:`repro.monitors`); ``None`` (the default) keeps
+    the hot loop emission-free.
     """
-    engine = FastArrowEngine(
-        graph, tree, latency=latency, seed=seed, service_time=service_time
+    if service_time < 0:
+        raise NetworkError(f"service_time must be >= 0, got {service_time}")
+    require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
+    schedule.validate_nodes(tree.num_nodes)
+    return _run(
+        graph,
+        tree,
+        schedule,
+        latency if latency is not None else UnitLatency(),
+        seed,
+        float(service_time),
+        max_events,
+        on_event,
+        None,
     )
-    return engine.run(schedule, max_events=max_events, on_event=on_event)
+
+
+def _run(
+    graph: Graph,
+    tree: SpanningTree,
+    schedule: RequestSchedule,
+    latency: LatencyModel,
+    seed: int,
+    service_time: float,
+    max_events: int | None,
+    on_event,
+    fs,
+) -> RunResult:
+    """One open-loop run on validated inputs, optionally under faults.
+
+    ``fs`` is ``None`` or the run's :class:`repro.faults._FaultState`.  A
+    faulted run closes with ``fs.finish``, which fills in ``fs.report``;
+    a fault-free run that leaves a request incomplete raises.
+    """
+    n = tree.num_nodes
+    root = tree.root
+    parent, weight, det_up, det_down = _tree_links(graph, tree, latency, seed)
+    # Per-send sampler of stochastic models, on a fresh stream every run.
+    draw = (
+        link_sampler(latency, spawn_rng(seed, "network-latency"))
+        if det_up is None
+        else None
+    )
+
+    # Protocol state (ArrowNode.init_pointers, flattened).
+    link = parent[:]
+    link[root] = root
+    last_rid = [NO_RID] * n
+    last_rid[root] = ROOT_RID
+
+    # FIFO clamp per directed tree link: 2v = v -> parent[v],
+    # 2v + 1 = parent[v] -> v (FifoChannel._last_delivery, flattened).
+    last_delivery = [0.0] * (2 * n)
+
+    # Raw completion rows (rid, pred, node, time, hops), handed to the
+    # result's columns once, after the hot loop.
+    done: list[tuple[int, int, int, float, int]] = []
+
+    t0 = _wall.perf_counter()
+    now, fired, messages = _drain(
+        schedule.times, schedule.nodes, parent, weight, det_up, det_down, draw,
+        service_time, link, last_rid, last_delivery, done, max_events,
+        on_event, fs,
+    )
+    wall = _wall.perf_counter() - t0
+
+    result = RunResult.from_rows(schedule, done)
+    result.makespan = now if fired else 0.0
+    result.wall_seconds = wall
+    result.network_stats = {
+        "messages_sent": messages,
+        "link_messages": messages,
+        "routed_messages": 0,
+        "hops_total": messages,
+    }
+    if fs is not None:
+        fs.finish(link, len(done), len(schedule))
+    elif len(done) != len(schedule):
+        raise ProtocolError(
+            f"arrow run completed {len(done)} of "
+            f"{len(schedule)} requests"
+        )
+    return result
+
+
+def _drain(
+    init_times: list[float],
+    init_nodes: list[int],
+    parent: list[int],
+    weight: list[float],
+    det_up: list[float] | None,
+    det_down: list[float] | None,
+    draw,
+    service: float,
+    link: list[int],
+    last_rid: list[int],
+    last_delivery: list[float],
+    done: list[tuple[int, int, int, float, int]],
+    max_events: int | None,
+    emit,
+    fs,
+) -> tuple[float, int, int]:
+    """The open-loop event loop, with per-node sequential service (Fig. 10)
+    and faults.
+
+    ``fs`` is ``None`` or the run's :class:`repro.faults._FaultState`;
+    every fault hook sits under one ``fs is not None`` test per site.
+    Kernel-parity sequence numbering: initiations own seqs
+    ``0..m-1``, the plan's crash events ``m..m+c-1`` (the message
+    runner schedules them in exactly that order), messages count on
+    from ``m+c``.  A dropped send consumes no sequence number, no
+    latency draw and no FIFO clamp: the message engine never reaches
+    ``transmit`` for it either.
+
+    Initiation events stay out of the heap: the schedule is already in
+    canonical (time, rid) order, which is exactly the kernel's (time,
+    seq) order for them, and every in-flight message event carries a
+    larger sequence number than every initiation (the runner schedules
+    all initiations before the first send), so on a time tie the
+    initiation always fires first.
+    """
+    busy_until = [0.0] * len(parent)  # Network._busy_until
+    append = done.append
+    push, pop = heappush, heappop
+
+    # (time, seq, tag, node, src, rid, hops) with explicit event tags:
+    # arrivals go through the service stage, dispatches do the work.
+    # Without service time (the §3.1 analysis model) a message is handled
+    # the moment it arrives, so sends are tagged as dispatches.
+    arrive = _ARRIVE if service > 0.0 else _DISPATCH
+    limit = float("inf") if max_events is None else max_events
+    m = len(init_times)
+    heap: list[tuple[float, int, int, int, int, int, int]] = []
+    if fs is not None:
+        down_nodes = fs.down
+        heap = [
+            (t, m + k, _CRASH, v, -1, -1, 0)
+            for k, (v, t) in enumerate(fs.crashes)
+        ]
+        heap.sort()
+    seq = m + len(heap)
+    i = 0
+    fired = 0
+    messages = 0
+    now = 0.0
+
+    while True:
+        if i < m and (not heap or init_times[i] <= heap[0][0]):
+            # Initiation of request i (ArrowNode.initiate).
+            now = init_times[i]
+            v = init_nodes[i]
+            rid = i
+            i += 1
+            fired += 1
+            if fired > limit:
+                _raise_livelock(max_events)
+            if fs is not None:
+                # Quiescent-point repair first, so the request sees a
+                # consistent configuration whenever one is restorable.
+                if fs.repair_due():
+                    sink, er = fs.repair(link, now)
+                    last_rid[sink] = er
+                if down_nodes[v]:
+                    fs.drop_initiation(rid, v, now)
+                    continue
+            if emit is not None:
+                emit("init", rid, v, now)
+            x = link[v]
+            if x == v:
+                # Local find: queued behind v's previous request.
+                if emit is not None:
+                    emit("complete", rid, last_rid[v], v, now, 0)
+                append((rid, last_rid[v], v, now, 0))
+                last_rid[v] = rid
+                continue
+            last_rid[v] = rid
+            link[v] = v
+            dst = x
+            hops = 1
+        elif heap:
+            now, _, tag, v, src, rid, hops = pop(heap)
+            fired += 1
+            if fired > limit:
+                _raise_livelock(max_events)
+            if tag == _ARRIVE:
+                if fs is not None and fs.drops_arrival(src, v, rid, now):
+                    continue
+                # Serialise handling at v (Network._arrive): the
+                # path-reversal step runs as its own dispatch event.
+                begin = busy_until[v]
+                if now > begin:
+                    begin = now
+                finish = begin + service
+                busy_until[v] = finish
+                push(heap, (finish, seq, _DISPATCH, v, src, rid, hops))
+                seq += 1
+                continue
+            if fs is not None:
+                if tag == _CRASH:
+                    fs.crash(v, now)
+                    link[v] = v
+                    continue
+                if fs.drops_arrival(src, v, rid, now):
+                    # A down node drops the message undelivered (with
+                    # service time: it crashed while the message waited).
+                    continue
+                fs.in_flight -= 1
+            # Path reversal (ArrowNode.on_message).
+            if emit is not None:
+                emit("deliver", rid, v, src, now)
+            x = link[v]
+            link[v] = src
+            if x == v:
+                if emit is not None:
+                    emit("complete", rid, last_rid[v], v, now, hops)
+                append((rid, last_rid[v], v, now, hops))
+                continue
+            dst = x
+            hops += 1
+        else:
+            break
+
+        # One link traversal v -> dst (send_link / forward + FifoChannel).
+        if emit is not None:
+            emit("send", rid, v, dst, now)
+        if fs is not None:
+            if fs.drops_send(v, dst, rid, now):
+                continue
+            fs.in_flight += 1
+        down = parent[dst] == v
+        if det_up is None:
+            delay = draw(v, dst, weight[dst if down else v])
+        else:
+            delay = det_down[dst] if down else det_up[v]
+        chan = 2 * dst + 1 if down else 2 * v
+        at = now + delay
+        if at < last_delivery[chan]:
+            at = last_delivery[chan]
+        last_delivery[chan] = at
+        push(heap, (at, seq, arrive, dst, v, rid, hops))
+        seq += 1
+        messages += 1
+
+    if fs is not None and fs.degraded:
+        # End-of-run repair: the heap drained, so the run is quiescent.
+        sink, er = fs.repair(link, now)
+        last_rid[sink] = er
+    return now, fired, messages

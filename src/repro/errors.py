@@ -54,15 +54,8 @@ class ScheduleError(ReproError):
     """Raised for invalid request schedules (negative times, bad nodes...)."""
 
 
-class SweepError(ScheduleError):
-    """Raised by the sweep layer (bad specs, grids, shards, cell families).
-
-    Historically the sweep layer reused :class:`ScheduleError` for every
-    spec problem — graph families, tree strategies, engines — so callers
-    wrapped sweep construction in ``except ScheduleError``.  ``SweepError``
-    subclasses it to keep those callers working while giving sweep
-    problems their own catchable, accurately named type.
-    """
+class SweepError(ReproError):
+    """Raised by the sweep layer (bad specs, grids, shards, cell families)."""
 
 
 class FaultPlanError(SweepError):

@@ -15,7 +15,7 @@ Four engines are available:
   simulator, exactly as the paper measures it (identical output);
 * ``engine="open"`` — the open-loop steady-state analogue: Poisson
   traffic at one request per processor per time unit replayed on the
-  :class:`~repro.core.fast_arrow.FastArrowEngine`.  The closed loop's
+  :func:`~repro.core.fast_arrow.run_arrow_fast`.  The closed loop's
   issue rate converges to exactly that once acknowledgements pipeline,
   so the hop metrics agree closely; useful for cross-checking the two
   workload styles against each other.

@@ -33,13 +33,12 @@ back up.  Recovery metrics (corrections applied, repairs run, requests
 lost, time from first degradation to repair) come back in the
 :class:`FaultReport`.
 
-Engine parity: ``engine="fast"`` runs the general loop of
-:class:`~repro.core.fast_arrow.FastArrowEngine` with this module's fault
-hooks; ``engine="message"`` runs the genuine
-:class:`~repro.net.network.Network` simulation with a fault-aware
-subclass.  Both produce identical results for identical inputs — the
-same event order, the same drops, the same repairs — which the fault
-differential tests enforce.
+Engine parity: ``engine="fast"`` runs the event loop of
+:mod:`repro.core.fast_arrow` with this module's fault hooks;
+``engine="message"`` runs the genuine :class:`~repro.net.network.Network`
+simulation with a fault-aware subclass.  Both produce identical results
+for identical inputs — the same event order, the same drops, the same
+repairs — which the fault differential tests enforce.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import time as _wall
 from dataclasses import dataclass
 
 from repro.core.arrow import ArrowNode
-from repro.core.fast_arrow import FastArrowEngine, arrow_runner
+from repro.core import fast_arrow
 from repro.core.queueing import CompletionRecord, RunResult
 from repro.core.requests import RequestSchedule
 from repro.core.stabilize import find_violations_links, stabilize_links
@@ -246,7 +245,7 @@ def _drop_windows(
 class _FaultState:
     """Shared fault bookkeeping: drop decisions, degradation, recovery.
 
-    One instance per run; both the fast engine's general loop and the
+    One instance per run; both the fast engine's event loop and the
     message-engine network subclass drive the same state machine, which
     is what keeps the engines' fault semantics identical.
     """
@@ -397,7 +396,7 @@ class _FaultyNetwork(Network):
 
     Drop checks run before any stats/latency/FIFO side effect, so a
     dropped message is observationally absent — exactly like the fast
-    engine's general loop, which never transmits it.
+    engine's event loop, which never transmits it.
     """
 
     def __init__(self, *args, fault_state: _FaultState, **kwargs) -> None:
@@ -552,7 +551,7 @@ def run_arrow_faulted(
     plan.validate_nodes(graph.num_nodes)
     model = latency if latency is not None else UnitLatency()
     if plan.empty and engine in ("fast", "message"):
-        result = arrow_runner(engine)(
+        result = fast_arrow.arrow_runner(engine)(
             graph,
             tree,
             schedule,
@@ -564,12 +563,11 @@ def run_arrow_faulted(
         )
         return result, FaultReport()
     if engine == "fast":
-        # The general loop even at service_time == 0: the fault hooks stay
-        # out of the service-0 hot loop.
         fs = _FaultState(tree, plan, seed, emit=on_event)
-        result = FastArrowEngine(
-            graph, tree, latency=model, seed=seed, service_time=service_time
-        )._run(schedule, max_events, on_event, fs)
+        result = fast_arrow._run(
+            graph, tree, schedule, model, seed, float(service_time),
+            max_events, on_event, fs,
+        )
         return result, fs.report
     if engine == "message":
         return _run_message_faulted(

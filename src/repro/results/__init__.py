@@ -14,7 +14,7 @@ without re-running a single simulation:
   figure, rebuilt from stored rows;
 * :mod:`repro.results.compare` — cross-run comparison (branch vs
   committed baseline) with per-cell percent deltas, plus the benchmark
-  speedup gate that ``benchmarks/check_regression.py`` delegates to;
+  speedup gate the CI ``bench-gate`` job runs;
 
 all surfaced through the ``repro-arrow results`` CLI subcommand group
 (``ingest`` / ``list`` / ``table`` / ``plot`` / ``compare``).

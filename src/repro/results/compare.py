@@ -10,9 +10,8 @@ Two modes, one subcommand (``repro-arrow results compare``):
   bit-identical).  With a tolerance, any delta beyond it fails the
   comparison — the grid-level analogue of the benchmark gate.
 * **Bench mode** (:func:`compare_bench`) is the speedup-trajectory gate
-  that ``benchmarks/check_regression.py`` historically implemented; the
-  script now delegates here, so the CLI, the CI job and the results
-  pipeline share one verdict.
+  the CI ``bench-gate`` job runs (``results compare --baseline/--fresh``
+  against ``benchmarks/bench_baseline.json``).
 
 Both modes serialise a canonical ``BENCH_results.json`` document
 (:meth:`RowComparison.to_doc` / :func:`bench_doc`): sorted keys, no
@@ -213,7 +212,7 @@ def compare_rows(
 
 
 # ----------------------------------------------------------------------
-# bench mode (the benchmarks/check_regression.py gate)
+# bench mode (the CI bench-gate)
 # ----------------------------------------------------------------------
 def compare_bench(
     baseline: dict, fresh: dict, tolerance: float

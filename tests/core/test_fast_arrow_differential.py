@@ -22,10 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fast_arrow import FastArrowEngine, arrow_runner, run_arrow_fast
+from repro.core.fast_arrow import arrow_runner, run_arrow_fast
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
+from repro.errors import SimulationError
+from repro.faults import run_arrow_faulted
 from repro.graphs.generators import (
     balanced_binary_tree_graph,
     caterpillar_graph,
@@ -281,34 +283,43 @@ def test_subclassed_models_take_the_exact_fallback(latency):
 
 
 # ----------------------------------------------------------------------
-# engine-object behaviour
+# repeat runs, validation and event limits
 # ----------------------------------------------------------------------
 def test_engine_is_reusable_across_runs():
-    """One engine instance replays many schedules independently."""
+    """Repeat runs on one (graph, tree) pair replay schedules independently."""
     g = complete_graph(10)
     tree = balanced_binary_overlay(g, 0)
-    eng = FastArrowEngine(g, tree)
     for seed in range(3):
         sched = poisson(10, 50, rate=5.0, seed=seed)
         a = run_arrow(g, tree, sched)
-        assert_identical(a, eng.run(sched))
+        assert_identical(a, run_arrow_fast(g, tree, sched))
     # Repeating the same schedule gives the same answer (no state leak).
     sched = poisson(10, 50, rate=5.0, seed=0)
-    assert eng.run(sched).completions == eng.run(sched).completions
+    assert (
+        run_arrow_fast(g, tree, sched).completions
+        == run_arrow_fast(g, tree, sched).completions
+    )
 
 
 def test_stochastic_engine_is_reusable():
-    """Each run starts a fresh latency stream: repeat runs are identical."""
+    """Each run starts fresh latency and fault streams: repeats are identical."""
     g = complete_graph(12)
     tree = balanced_binary_overlay(g, 0)
     lat = ExponentialCappedLatency()
     sched = poisson(12, 60, rate=6.0, seed=0)
-    for service_time in (0.0, 0.2):  # the service-0 loop and the general loop
+    for service_time in (0.0, 0.2):
         kw = dict(latency=lat, seed=9, service_time=service_time)
-        eng = FastArrowEngine(g, tree, **kw)
-        first = eng.run(sched)
-        assert_identical(first, eng.run(sched))
+        first = run_arrow_fast(g, tree, sched, **kw)
+        assert_identical(first, run_arrow_fast(g, tree, sched, **kw))
         assert_identical(first, run_arrow(g, tree, sched, **kw))
+        # The fault-loss stream starts afresh too.
+        lossy, report = run_arrow_faulted(g, tree, sched, "loss:0.05", **kw)
+        again, report_again = run_arrow_faulted(g, tree, sched, "loss:0.05", **kw)
+        assert report.requests_lost > 0
+        assert report == report_again
+        assert lossy.completions == again.completions
+        assert lossy.makespan == again.makespan
+        assert lossy.network_stats == again.network_stats
 
 
 def test_arrow_runner_rejects_batch():
@@ -327,23 +338,56 @@ def test_engine_rejects_non_spanning_tree():
     g = path_graph(5)
     bad = SpanningTree([0, 0, 0, 0, 0], root=0)  # star edges absent from path
     with pytest.raises(GraphError):
-        FastArrowEngine(g, bad)
+        run_arrow_fast(g, bad, one_shot([1, 2]))
+
+
+def _max_events_outcome(fn, *args, **kwargs):
+    """``"ok"`` if the run finishes, ``"raised"`` if it exceeds max_events."""
+    try:
+        fn(*args, **kwargs)
+    except SimulationError:
+        return "raised"
+    return "ok"
 
 
 def test_engine_max_events_matches_runner():
-    from repro.errors import SimulationError
-
+    """Both engines count the same events, dispatches included."""
     g = path_graph(20)
     tree = bfs_tree(g, 0)
     sched = one_shot(list(range(20)))
-    full = run_arrow(g, tree, sched)
-    needed = full.network_stats["messages_sent"] + len(sched)
-    for limit in (needed, needed - 1, 5):
-        outcomes = []
-        for fn in (run_arrow, run_arrow_fast):
-            try:
-                fn(g, tree, sched, max_events=limit)
-                outcomes.append("ok")
-            except SimulationError:
-                outcomes.append("raised")
-        assert len(set(outcomes)) == 1, (limit, outcomes)
+    for service_time in (0.0, 0.2):
+        full = run_arrow(g, tree, sched, service_time=service_time)
+        # One initiation per request, one arrival per message, and with
+        # service time one dispatch per arrival.
+        per_message = 2 if service_time else 1
+        needed = per_message * full.network_stats["messages_sent"] + len(sched)
+        for limit, expected in ((needed, "ok"), (needed - 1, "raised"), (5, "raised")):
+            for fn in (run_arrow, run_arrow_fast):
+                outcome = _max_events_outcome(
+                    fn, g, tree, sched, service_time=service_time, max_events=limit
+                )
+                assert outcome == expected, (service_time, limit, fn)
+
+
+@pytest.mark.parametrize("service_time", [0.0, 0.2])
+def test_faulted_max_events_matches_runner(service_time):
+    """Crash events count too: the engines fail at the same limits.
+
+    The crash fires mid-run (the fault-free run ends at time 1, or 1.2
+    with service time), so a miscounted crash shifts every later limit.
+    """
+    g = path_graph(20)
+    tree = bfs_tree(g, 0)
+    sched = one_shot(list(range(20)))
+    fast, message = (
+        [
+            _max_events_outcome(
+                run_arrow_faulted, g, tree, sched, "crash@0.5:3", engine=engine,
+                service_time=service_time, max_events=limit,
+            )
+            for limit in range(1, 80)
+        ]
+        for engine in ("fast", "message")
+    )
+    assert fast == message
+    assert set(fast) == {"ok", "raised"}

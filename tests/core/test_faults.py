@@ -152,7 +152,7 @@ def test_three_engines_agree_under_faults(plan):
 )
 @pytest.mark.parametrize("service_time", [0.0, 0.1])
 def test_engines_agree_under_faults_on_a_grid(plan, service_time):
-    """Multi-hop paths, stochastic latency, and the zero-service general loop."""
+    """Multi-hop paths, stochastic latency, with and without service time."""
     graph = grid_graph(6, 6)
     tree = bfs_tree(graph, 0)
     schedule = poisson(36, 150, 12.0, seed=4)

@@ -101,6 +101,66 @@ def test_compare_bench_mode_gate(tmp_path, capsys):
     assert "REGRESSION" in capsys.readouterr().err
 
 
+def _bench_gate(tmp_path, baseline, fresh, tolerance="0.25"):
+    base_path = tmp_path / "base.json"
+    fresh_path = tmp_path / "fresh.json"
+    base_path.write_text(json.dumps(baseline))
+    fresh_path.write_text(json.dumps(fresh))
+    return main(
+        ["results", "compare", "--baseline", str(base_path),
+         "--fresh", str(fresh_path), "--tolerance", tolerance]
+    )
+
+
+BENCH_BASE = {
+    "open_loop_uniform": {"speedup": 1.6},
+    "closed_loop_uniform": {"speedup": 1.4},
+}
+
+
+def test_compare_bench_missing_scenario_fails(tmp_path, capsys):
+    fresh = {"open_loop_uniform": {"speedup": 1.6}}
+    assert _bench_gate(tmp_path, BENCH_BASE, fresh) == 1
+    assert "missing from fresh results" in capsys.readouterr().err
+
+
+def test_compare_bench_below_parity_baseline_reported_not_gated(tmp_path, capsys):
+    # "No worse" scenarios (baseline speedup < 1.0) are the most
+    # machine-sensitive ratios; parity is asserted in-suite, so the gate
+    # only reports them.
+    base = {**BENCH_BASE, "one_shot_storm": {"speedup": 0.93}}
+    fresh = {**BENCH_BASE, "one_shot_storm": {"speedup": 0.5}}
+    assert _bench_gate(tmp_path, base, fresh) == 0
+    assert "no-worse contract" in capsys.readouterr().out
+
+
+def test_compare_bench_new_scenario_reported_not_gated(tmp_path, capsys):
+    fresh = {**BENCH_BASE, "brand_new": {"speedup": 0.1}}
+    assert _bench_gate(tmp_path, BENCH_BASE, fresh) == 0
+    assert "new scenario" in capsys.readouterr().out
+
+
+def test_compare_bench_unreadable_input_fails_without_traceback(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    assert main(
+        ["results", "compare", "--baseline", missing, "--fresh", missing]
+    ) == 1
+    err = capsys.readouterr().err
+    assert "results compare FAILED" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tolerance", ["1.5", "1.0", "-1", "nan"])
+def test_compare_bench_tolerance_out_of_range_exits_2(tmp_path, tolerance):
+    # With tolerance 1.5 the floor is negative, so a 2.0 -> 0.1 drop
+    # would otherwise pass.
+    with pytest.raises(SystemExit) as exc:
+        _bench_gate(
+            tmp_path, {"s": {"speedup": 2.0}}, {"s": {"speedup": 0.1}}, tolerance
+        )
+    assert exc.value.code == 2
+
+
 def test_compare_mode_flags_are_mutually_exclusive(pipeline, tmp_path):
     _, jsonl, store = pipeline
     with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,7 @@
 """Cross-run comparison (``repro.results.compare``).
 
-Row mode is the per-cell diff with percent deltas; bench mode must be
-*the same function* the historical ``benchmarks/check_regression.py``
-gate runs, verified here against the committed baseline file.
+Row mode is the per-cell diff with percent deltas; bench mode is the CI
+speedup gate, checked here against the committed baseline file.
 """
 
 from __future__ import annotations
@@ -73,30 +72,21 @@ def test_missing_cells_and_zero_baseline_are_problems():
     assert "percent delta undefined" in cmp.problems[0]
 
 
-def test_bench_mode_matches_check_regression_verdict_on_baseline():
-    """The script's gate and the library gate are one function."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "check_regression",
-        os.path.join(REPO, "benchmarks", "check_regression.py"),
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-
+def test_bench_mode_gates_the_committed_baseline():
+    """The CI gate's verdicts on the committed baseline file."""
     with open(BASELINE, encoding="utf-8") as fh:
         baseline = json.load(fh)
     # Self-compare: every gated scenario is exactly at baseline -> OK.
     report, regressions = compare_bench(baseline, baseline, 0.25)
-    assert (report, regressions) == mod.compare(baseline, baseline, 0.25)
     assert regressions == []
-    # A regressed fresh copy fails both identically.
+    assert len(report) == len(baseline)
+    # Halving every speedup regresses every gated scenario.
     regressed = {
         k: {"speedup": v["speedup"] * 0.5} for k, v in baseline.items()
     }
-    ours = compare_bench(baseline, regressed, 0.25)
-    assert ours == mod.compare(baseline, regressed, 0.25)
-    assert ours[1], "halving every speedup must regress"
+    _, regressions = compare_bench(baseline, regressed, 0.25)
+    gated = [k for k, v in baseline.items() if v["speedup"] >= 1.0]
+    assert len(regressions) == len(gated) > 0
 
 
 def test_bench_doc_is_canonical_and_carries_the_verdict():

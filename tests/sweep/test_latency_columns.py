@@ -162,13 +162,13 @@ def test_closed_and_open_cells_mix_in_one_grid(tmp_path):
 
 
 def test_closed_loop_schedule_axis_validates_params():
-    from repro.errors import ScheduleError
+    from repro.errors import SweepError
     from repro.sweep import build_schedule
 
-    with pytest.raises(ScheduleError):
+    with pytest.raises(SweepError):
         ScheduleSpec.of("closed_arrow", center=3)  # centralized-only param
-    with pytest.raises(ScheduleError):
+    with pytest.raises(SweepError):
         ScheduleSpec.of("closed_arrow", requests_per_procc=5)  # typo
     # Closed-loop families never build open-loop schedules.
-    with pytest.raises(ScheduleError):
+    with pytest.raises(SweepError):
         build_schedule(ScheduleSpec.of("closed_arrow"), 8, 0)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import ReproError, ScheduleError, SweepError
+from repro.errors import ReproError, SweepError
 from repro.sweep import (
     CellFamily,
     GraphSpec,
@@ -55,19 +55,11 @@ def test_builtin_families_registered():
 
 
 def test_unknown_family_raises_sweep_error():
+    assert issubclass(SweepError, ReproError)
     with pytest.raises(SweepError):
         get_family("thundering_herd")
     with pytest.raises(SweepError):
         ScheduleSpec.of("thundering_herd")
-
-
-def test_sweep_error_is_backward_compatible():
-    # Callers that wrapped spec construction in `except ScheduleError`
-    # keep working: SweepError subclasses it (and ReproError).
-    assert issubclass(SweepError, ScheduleError)
-    assert issubclass(SweepError, ReproError)
-    with pytest.raises(ScheduleError):
-        ScheduleSpec.of("poisson", rate_pernode=2.0)
 
 
 def test_bootstrap_failure_is_not_latched(monkeypatch):
