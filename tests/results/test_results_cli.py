@@ -118,6 +118,26 @@ BENCH_BASE = {
 }
 
 
+def test_compare_bench_within_tolerance_passes(tmp_path, capsys):
+    fresh = {
+        "open_loop_uniform": {"speedup": 1.3},   # -19%, inside 25%
+        "closed_loop_uniform": {"speedup": 1.5},  # improvement
+    }
+    assert _bench_gate(tmp_path, BENCH_BASE, fresh) == 0
+    assert "no regressions" in capsys.readouterr().out
+
+
+def test_compare_bench_regression_beyond_tolerance_fails(tmp_path, capsys):
+    fresh = {
+        "open_loop_uniform": {"speedup": 1.1},   # -31% < floor 1.2
+        "closed_loop_uniform": {"speedup": 1.4},
+    }
+    assert _bench_gate(tmp_path, BENCH_BASE, fresh) == 1
+    err = capsys.readouterr().err
+    assert "open_loop_uniform" in err and "REGRESSION" in err
+    assert "results compare FAILED" in err
+
+
 def test_compare_bench_missing_scenario_fails(tmp_path, capsys):
     fresh = {"open_loop_uniform": {"speedup": 1.6}}
     assert _bench_gate(tmp_path, BENCH_BASE, fresh) == 1
